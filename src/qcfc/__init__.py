@@ -35,7 +35,6 @@ from .pipelines import (
     HeadMotion,
     PipelineKind,
     PipelineSpec,
-    RoiTimeSeries,
     SubjectBundle,
     build_blocks,
     expand_hmp24,
@@ -75,7 +74,6 @@ __all__ = [
     "HeadMotion",
     "PipelineKind",
     "PipelineSpec",
-    "RoiTimeSeries",
     "SubjectBundle",
     "expand_hmp24",
     "build_blocks",

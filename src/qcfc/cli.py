@@ -135,6 +135,11 @@ class CohortManifest:
             if missing:
                 raise ValidationError(f"manifest subject {k} is missing {missing[0]!r}")
             sid = str(entry["subject_id"])
+            if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+                raise ValidationError(
+                    f"manifest subject {k}: subject_id {sid!r} must be a single "
+                    "path component (no '/' or '\\', not empty, '.' or '..')"
+                )
             if sid in seen:
                 raise ValidationError(f"duplicate subject_id {sid!r} in manifest")
             seen.add(sid)
@@ -270,53 +275,25 @@ def load_manifest(manifest_path: Path) -> tuple[CohortManifest, Path]:
 
 
 def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
-    """Load one subject's four files, naming the subject and file on failure."""
-    sid = paths.subject_id
-
-    def fail(rel: str, msg: str) -> FileFormatError:
-        return FileFormatError(f"subject {sid!r}: {rel}: {msg}")
-
+    """Load one subject's four files, naming the subject on failure."""
     try:
         ts_values, ts_labels = read_matrix_csv(base / paths.ts)
-    except FileFormatError as e:
-        raise FileFormatError(f"subject {sid!r}: {e}") from e
-    n = ts_values.shape[0]
-    if n < 2 or ts_values.shape[1] < 1:
-        raise fail(paths.ts, f"timeseries of shape {ts_values.shape} is too small")
-
-    try:
+        if ts_values.shape[0] < 2 or ts_values.shape[1] < 1:
+            raise FileFormatError(
+                f"{paths.ts}: timeseries of shape {ts_values.shape} is too small"
+            )
         motion = read_motion_csv(base / paths.motion)
-    except FileFormatError as e:
-        raise FileFormatError(f"subject {sid!r}: {e}") from e
-    if motion.n_timepoints != n:
-        raise fail(paths.motion, f"has {motion.n_timepoints} rows, expected {n}")
-
-    try:
         aroma_values, aroma_labels = read_matrix_csv(base / paths.aroma)
-    except FileFormatError as e:
-        raise FileFormatError(f"subject {sid!r}: {e}") from e
-    if aroma_values.shape[0] != n:
-        raise fail(paths.aroma, f"has {aroma_values.shape[0]} rows, expected {n}")
-
-    try:
         physio_values, physio_labels = read_matrix_csv(base / paths.physio)
-    except FileFormatError as e:
-        raise FileFormatError(f"subject {sid!r}: {e}") from e
-    if physio_values.shape[0] != n:
-        raise fail(paths.physio, f"has {physio_values.shape[0]} rows, expected {n}")
-    if physio_values.shape[1] != 2:
-        raise fail(paths.physio, f"must have exactly 2 columns, got {physio_values.shape[1]}")
-
-    try:
         return SubjectBundle(
-            subject_id=sid,
+            subject_id=paths.subject_id,
             ts=SignalMatrix(ts_values, ts_labels),
             motion=motion,
             aroma=DesignMatrix(aroma_values, aroma_labels, RegressorSource.AROMA),
             physio=DesignMatrix(physio_values, physio_labels, RegressorSource.PHYSIO),
         )
-    except (DimensionError, DataIntegrityError) as e:
-        raise FileFormatError(f"subject {sid!r}: {e}") from e
+    except (FileFormatError, DimensionError, DataIntegrityError) as e:
+        raise FileFormatError(f"subject {paths.subject_id!r}: {e}") from e
 
 
 def cmd_phantom(config_path: str, out_dir: str) -> int:

@@ -17,7 +17,7 @@ dependence, stored as NaN, and counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -29,7 +29,8 @@ from .errors import (
     DimensionError,
     SchemaError,
 )
-from .pipelines import HeadMotion, RoiTimeSeries
+from .pipelines import HeadMotion
+from .regression import SignalMatrix
 
 __all__ = [
     "FcMatrix",
@@ -123,13 +124,14 @@ class Parcellation:
         return len(self.roi_labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QcFcReport:
     """Per-edge QC-FC values plus summary statistics.
 
     `edge_qcfc` and `edge_pvalues` hold NaN at undefined edges (those with
-    zero connectivity variance across subjects). `dist_dependence_rho` and
-    `dist_dependence_p` stay None until `distance_dependence` fills them.
+    zero connectivity variance across subjects). Both are frozen read-only
+    at construction; distance dependence is computed from a report by
+    `distance_dependence`, not stored in it.
     """
 
     edge_qcfc: np.ndarray
@@ -137,13 +139,11 @@ class QcFcReport:
     median_abs_qcfc: float
     n_subjects: int
     undefined_edge_count: int = 0
-    dist_dependence_rho: float | None = None
-    dist_dependence_p: float | None = None
-    roi_labels: tuple[str, ...] = field(default=())
+    roi_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        r_vals = np.asarray(self.edge_qcfc, dtype=float)
-        p_vals = np.asarray(self.edge_pvalues, dtype=float)
+        r_vals = np.array(self.edge_qcfc, dtype=float)
+        p_vals = np.array(self.edge_pvalues, dtype=float)
         if r_vals.shape != p_vals.shape or r_vals.ndim != 1:
             raise DimensionError("edge r and p vectors must be 1-d and the same length")
         defined = ~np.isnan(r_vals)
@@ -154,8 +154,10 @@ class QcFcReport:
                 raise DataIntegrityError("edge QC-FC values must lie in [-1, 1]")
             if p_vals[defined].min() < 0.0 or p_vals[defined].max() > 1.0:
                 raise DataIntegrityError("edge p-values must lie in [0, 1]")
-        self.edge_qcfc = r_vals
-        self.edge_pvalues = p_vals
+        r_vals.setflags(write=False)
+        p_vals.setflags(write=False)
+        object.__setattr__(self, "edge_qcfc", r_vals)
+        object.__setattr__(self, "edge_pvalues", p_vals)
 
     @property
     def n_edges(self) -> int:
@@ -244,7 +246,7 @@ def spearman(x, y) -> tuple[float, float]:
     return pearson(rx, ry)
 
 
-def fc_matrix(ts: RoiTimeSeries) -> FcMatrix:
+def fc_matrix(ts: SignalMatrix) -> FcMatrix:
     """Pairwise Pearson correlation of ROI columns.
 
     Diagonal is set to exactly 1 and the result is symmetrized; off-
@@ -278,7 +280,6 @@ def edge_lengths(p: Parcellation) -> np.ndarray:
 def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
     """Correlate each edge's connectivity with mean FD across subjects.
 
-    Returns a report whose distance-dependence fields are still unset.
     Undefined edges (no connectivity variance across subjects) carry NaN
     and are excluded from the median.
     """
@@ -337,8 +338,7 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
 def distance_dependence(report: QcFcReport, lengths) -> tuple[float, float]:
     """Spearman correlation of per-edge QC-FC with edge length.
 
-    Undefined edges are dropped pairwise. The result is written back into
-    the report as well as returned.
+    Undefined edges are dropped pairwise. Returns (rho, p).
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != report.n_edges:
@@ -350,7 +350,4 @@ def distance_dependence(report: QcFcReport, lengths) -> tuple[float, float]:
         raise DegenerateInputError(
             f"need at least 3 defined edges, got {int(defined.sum())}"
         )
-    rho, p = spearman(report.edge_qcfc[defined], lengths[defined])
-    report.dist_dependence_rho = rho
-    report.dist_dependence_p = p
-    return rho, p
+    return spearman(report.edge_qcfc[defined], lengths[defined])

@@ -1,6 +1,6 @@
 """Deterministic synthetic cohort with known truth and injected artifact.
 
-The generator builds, from one seed: ROI centroids inside a 140 mm sphere,
+The generator builds, from one seed: ROI centroids in a 70 mm-radius sphere,
 a shared ground-truth connectivity structure (sparse latent factors), and
 per subject a smooth motion trace, motion-component stand-ins, two physio
 confounds, and ROI timeseries contaminated by spatially decaying artifact

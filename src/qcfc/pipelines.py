@@ -15,13 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataIntegrityError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 from .regression import (
     DesignMatrix,
     RegressorSource,
     SignalMatrix,
+    _validated_matrix,
     concat_designs,
-    demean,
     ols_residualize,
     sequential_residualize,
 )
@@ -29,10 +29,10 @@ from .regression import (
 __all__ = [
     "HMP_PARAM_LABELS",
     "HeadMotion",
+    "PIPELINE_STAGES",
     "PipelineKind",
     "PipelineSpec",
     "SubjectBundle",
-    "RoiTimeSeries",
     "expand_hmp24",
     "build_blocks",
     "run_pipeline",
@@ -42,9 +42,6 @@ __all__ = [
 # mm, then rotations in radians.
 HMP_PARAM_LABELS = ("dx_mm", "dy_mm", "dz_mm", "rx_rad", "ry_rad", "rz_rad")
 
-# A signal matrix whose columns are ROI timeseries.
-RoiTimeSeries = SignalMatrix
-
 
 @dataclass(frozen=True)
 class HeadMotion:
@@ -53,16 +50,11 @@ class HeadMotion:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 6:
+        arr = _validated_matrix(self.values, "head motion", min_rows=2)
+        if arr.shape[1] != 6:
             raise DimensionError(
                 f"head motion must be n x 6 (dx, dy, dz, rx, ry, rz), got shape {arr.shape}"
             )
-        if arr.shape[0] < 2:
-            raise DimensionError(f"head motion needs at least 2 rows, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise DataIntegrityError("head motion contains NaN or infinite entries")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -107,7 +99,7 @@ class SubjectBundle:
     """
 
     subject_id: str
-    ts: RoiTimeSeries
+    ts: SignalMatrix
     motion: HeadMotion
     aroma: DesignMatrix
     physio: DesignMatrix
@@ -120,12 +112,10 @@ class SubjectBundle:
             ("physio", self.physio.n_timepoints),
         ):
             if rows != n:
-                raise DimensionError(
-                    f"subject {self.subject_id!r}: {name} has {rows} rows, timeseries has {n}"
-                )
+                raise DimensionError(f"{name} has {rows} rows, timeseries has {n}")
         if self.physio.k != 2:
             raise DimensionError(
-                f"subject {self.subject_id!r}: physio must have exactly 2 columns "
+                "physio must have exactly 2 columns "
                 f"(white-matter mean, non-brain mean), got {self.physio.k}"
             )
 
@@ -157,38 +147,47 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
 def build_blocks(bundle: SubjectBundle) -> dict[RegressorSource, DesignMatrix]:
     """Assemble the three nuisance blocks for one subject.
 
-    The motion block is the 24-regressor expansion; the other two pass
-    through with their source tags normalized.
+    The motion block is the 24-regressor expansion; the component and physio
+    blocks pass through as the bundle holds them.
     """
     return {
         RegressorSource.HMP: expand_hmp24(bundle.motion),
-        RegressorSource.AROMA: DesignMatrix(
-            bundle.aroma.values, bundle.aroma.column_labels, RegressorSource.AROMA
-        ),
-        RegressorSource.PHYSIO: DesignMatrix(
-            bundle.physio.values, bundle.physio.column_labels, RegressorSource.PHYSIO
-        ),
+        RegressorSource.AROMA: bundle.aroma,
+        RegressorSource.PHYSIO: bundle.physio,
     }
 
 
-def run_pipeline(bundle: SubjectBundle, spec: PipelineSpec) -> RoiTimeSeries:
+_HMP, _AROMA, _PHYSIO = RegressorSource.HMP, RegressorSource.AROMA, RegressorSource.PHYSIO
+
+# Each strategy as an ordered tuple of block groups. Blocks in one group are
+# regressed out together, in one projection onto their concatenation; groups
+# are regressed out one after another.
+PIPELINE_STAGES: dict[PipelineKind, tuple[tuple[RegressorSource, ...], ...]] = {
+    PipelineKind.BASELINE: (),
+    PipelineKind.SEQ_HMP_AROMA_PHYSIO: ((_HMP,), (_AROMA,), (_PHYSIO,)),
+    PipelineKind.SEQ_AROMA_HMP_PHYSIO: ((_AROMA,), (_HMP,), (_PHYSIO,)),
+    PipelineKind.CONCAT_ALL: ((_AROMA, _HMP, _PHYSIO),),
+}
+
+
+def run_pipeline(bundle: SubjectBundle, spec: PipelineSpec) -> SignalMatrix:
     """Apply one correction strategy to a subject's timeseries.
 
     Sequential strategies regress the blocks out one at a time in the
     stated order, so only the final (physio) block is guaranteed removed;
     the concatenated strategy projects once onto the joint column space
-    and removes all three simultaneously. ROI labels pass through.
+    and removes all three simultaneously. Baseline only demeans. ROI labels
+    pass through.
+
+    A single group goes straight to `ols_residualize`: routing it through
+    `sequential_residualize` would demean once more and change the last
+    bits of the output.
     """
-    if spec.kind is PipelineKind.BASELINE:
-        return demean(bundle.ts)
     blocks = build_blocks(bundle)
-    hmp = blocks[RegressorSource.HMP]
-    aroma = blocks[RegressorSource.AROMA]
-    physio = blocks[RegressorSource.PHYSIO]
-    if spec.kind is PipelineKind.SEQ_HMP_AROMA_PHYSIO:
-        return sequential_residualize(bundle.ts, [hmp, aroma, physio])
-    if spec.kind is PipelineKind.SEQ_AROMA_HMP_PHYSIO:
-        return sequential_residualize(bundle.ts, [aroma, hmp, physio])
-    if spec.kind is PipelineKind.CONCAT_ALL:
-        return ols_residualize(bundle.ts, concat_designs([aroma, hmp, physio]))
-    raise ValidationError(f"unhandled pipeline kind {spec.kind!r}")
+    designs = [
+        concat_designs([blocks[source] for source in group])
+        for group in PIPELINE_STAGES[spec.kind]
+    ]
+    if len(designs) == 1:
+        return ols_residualize(bundle.ts, designs[0])
+    return sequential_residualize(bundle.ts, designs)

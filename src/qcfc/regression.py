@@ -122,6 +122,13 @@ class SignalMatrix:
         return self.values.shape[1]
 
 
+def _check_rows(Y: SignalMatrix, X: DesignMatrix) -> None:
+    if Y.n_timepoints != X.n_timepoints:
+        raise DimensionError(
+            f"signals have {Y.n_timepoints} rows but design has {X.n_timepoints}"
+        )
+
+
 def demean_columns(arr: np.ndarray) -> np.ndarray:
     """Subtract each column's mean.
 
@@ -172,10 +179,7 @@ def ols_residualize(Y: SignalMatrix, X: DesignMatrix) -> SignalMatrix:
     every design column; for rank-deficient X they equal the residuals of
     the minimum-norm solution. Column labels of Y are preserved.
     """
-    if Y.n_timepoints != X.n_timepoints:
-        raise DimensionError(
-            f"signals have {Y.n_timepoints} rows but design has {X.n_timepoints}"
-        )
+    _check_rows(Y, X)
     e = residualize_columns(demean_columns(Y.values), demean_columns(X.values))
     return SignalMatrix(e, Y.column_labels)
 
@@ -216,11 +220,15 @@ def sequential_residualize(
     LAST block only. When blocks correlate, later steps reintroduce signal
     aligned with earlier blocks; that reintroduction is a real property of
     ordered filtering and is left intact here.
+
+    Each step demeans its inputs exactly as `ols_residualize` does, so a
+    fold of `ols_residualize` over the blocks gives the same bits.
     """
-    e = demean(Y)
+    e = demean_columns(Y.values)
     for b in blocks:
-        e = ols_residualize(e, b)
-    return e
+        _check_rows(Y, b)
+        e = residualize_columns(demean_columns(e), demean_columns(b.values))
+    return SignalMatrix(e, Y.column_labels)
 
 
 def max_abs_correlation(E: SignalMatrix, X: DesignMatrix) -> float:
@@ -230,10 +238,7 @@ def max_abs_correlation(E: SignalMatrix, X: DesignMatrix) -> float:
     skipped. If one side has no varying column at all there is nothing to
     correlate.
     """
-    if E.n_timepoints != X.n_timepoints:
-        raise DimensionError(
-            f"signals have {E.n_timepoints} rows but design has {X.n_timepoints}"
-        )
+    _check_rows(E, X)
     n = E.n_timepoints
     eps = np.finfo(float).eps
 

@@ -8,6 +8,7 @@ the per-criterion verdict in the log.
 import json
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ def hundred_instances():
     }
 
 
+class CohortSummary(NamedTuple):
+    median_abs_qcfc: float
+    dist_dependence_rho: float
+    dist_dependence_p: float
+
+
 def _cohort_report(cohort, kind):
     fcs = []
     mfds = []
@@ -102,8 +109,8 @@ def _cohort_report(cohort, kind):
         fcs.append(fc_matrix(cleaned))
         mfds.append(mean_fd(framewise_displacement(bundle.motion)))
     report = qcfc(fcs, np.array(mfds))
-    distance_dependence(report, edge_lengths(cohort.parcellation))
-    return report
+    rho, p = distance_dependence(report, edge_lengths(cohort.parcellation))
+    return CohortSummary(report.median_abs_qcfc, rho, p)
 
 
 def test_criterion_1_edge_bookkeeping(capsys):

@@ -228,6 +228,60 @@ class TestCorrectCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("sid", ["../../escaped", "a/b", "a\\b", "", ".", ".."])
+    def test_subject_id_must_be_one_path_component(self, cohort_dir, tmp_path, capsys, sid):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        manifest["subjects"][0]["subject_id"] = sid
+        (cohort / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "a" / "b" / "o"
+        rc = main(
+            [
+                "correct",
+                "--manifest",
+                str(cohort / "manifest.json"),
+                "--pipeline",
+                "concat",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert "subject_id" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "escaped.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("aroma.csv", lambda lines: lines[:-1]),
+            ("motion.csv", lambda lines: lines[:-1]),
+            ("physio.csv", lambda lines: [line + ",0" for line in lines]),
+        ],
+    )
+    def test_inconsistent_subject_files_exit_4(
+        self, cohort_dir, tmp_path, capsys, name, edit
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        path = cohort / "sub-001" / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        rc = main(
+            [
+                "correct",
+                "--manifest",
+                str(cohort / "manifest.json"),
+                "--pipeline",
+                "concat",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "sub-001" in err and name.split(".")[0] in err
+
 
 class TestQcCommand:
     def test_raw_report_contents(self, cohort_dir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,15 @@ def report_from_values(edge_r, n_subjects=10):
     )
 
 
+class TestQcFcReport:
+    def test_report_is_immutable(self):
+        report = report_from_values([0.1, -0.2, 0.3])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.median_abs_qcfc = 0.0
+        with pytest.raises(ValueError):
+            report.edge_qcfc[0] = 0.5
+
+
 class TestDistanceDependence:
     def test_strictly_decreasing_gives_minus_one(self):
         edge_r = np.linspace(0.9, -0.9, 10)
@@ -350,8 +361,7 @@ class TestDistanceDependence:
         report = report_from_values(edge_r)
         rho, p = distance_dependence(report, lengths)
         assert rho == -1.0
-        assert report.dist_dependence_rho == -1.0
-        assert report.dist_dependence_p == p
+        assert p == 0.0
 
     def test_shuffled_values_near_zero(self):
         rng = np.random.default_rng(22)

@@ -13,9 +13,11 @@ from qcfc import (
     SubjectBundle,
     ValidationError,
     build_blocks,
+    concat_designs,
     demean,
     expand_hmp24,
     max_abs_correlation,
+    ols_residualize,
     run_pipeline,
 )
 from qcfc.pipelines import HMP_PARAM_LABELS
@@ -176,9 +178,30 @@ class TestRunPipeline:
             assert out.values.shape == bundle.ts.values.shape
             assert np.abs(out.values.mean(axis=0)).max() <= 1e-10
 
-    def test_concat_order_invariance(self):
-        from qcfc import concat_designs, ols_residualize
+    def test_each_pipeline_runs_its_stages_exactly(self):
+        bundle = make_correlated_bundle(104)
+        ts, aroma, physio = bundle.ts, bundle.aroma, bundle.physio
+        hmp = expand_hmp24(bundle.motion)
 
+        def fold(blocks):
+            e = demean(ts)
+            for block in blocks:
+                e = ols_residualize(e, block)
+            return e
+
+        expected = {
+            PipelineKind.BASELINE: demean(ts),
+            PipelineKind.SEQ_HMP_AROMA_PHYSIO: fold([hmp, aroma, physio]),
+            PipelineKind.SEQ_AROMA_HMP_PHYSIO: fold([aroma, hmp, physio]),
+            PipelineKind.CONCAT_ALL: ols_residualize(
+                ts, concat_designs([aroma, hmp, physio])
+            ),
+        }
+        for kind, want in expected.items():
+            got = run_pipeline(bundle, PipelineSpec(kind)).values
+            assert np.array_equal(got, want.values), kind
+
+    def test_concat_order_invariance(self):
         bundle = make_correlated_bundle(102)
         blocks = build_blocks(bundle)
         a = blocks[RegressorSource.AROMA]

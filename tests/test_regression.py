@@ -13,13 +13,14 @@ from qcfc import (
     SignalMatrix,
     concat_designs,
     demean,
+    expand_hmp24,
     max_abs_correlation,
     ols_residualize,
     sequential_residualize,
 )
 from qcfc.regression import demean_columns
 
-from .conftest import orthogonal_blocks, standardize
+from .conftest import make_correlated_bundle, orthogonal_blocks, standardize
 from .oracles import oracle_residualize
 
 
@@ -221,6 +222,23 @@ class TestSequentialResidualize:
         assert max_abs_correlation(conc, b1) < 1e-10
         oracle_seq = oracle_residualize(oracle_residualize(y.values, x1), x2)
         assert np.allclose(seq.values, oracle_seq, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [401, 402, 403])
+    def test_frisch_waugh_lovell_correlated_blocks(self, seed):
+        # Residualizing each later block on all earlier ones turns sequential
+        # regression into the concatenated one, even for correlated blocks.
+        bundle = make_correlated_bundle(seed)
+        blocks = [expand_hmp24(bundle.motion), bundle.aroma, bundle.physio]
+        conc = ols_residualize(bundle.ts, concat_designs(blocks))
+        orthogonalized = [blocks[0]]
+        for k, block in enumerate(blocks[1:], start=1):
+            earlier = concat_designs(blocks[:k])
+            resid = ols_residualize(SignalMatrix(block.values), earlier).values
+            orthogonalized.append(design(resid, block.source))
+        fwl = sequential_residualize(bundle.ts, orthogonalized)
+        naive = sequential_residualize(bundle.ts, blocks)
+        assert np.abs(fwl.values - conc.values).max() <= 1e-10
+        assert np.abs(naive.values - conc.values).max() > 1e-3
 
     def test_last_block_only_guarantee(self):
         rng = np.random.default_rng(14)
