@@ -1,30 +1,52 @@
 #!/usr/bin/env python3
 """Run every correction pipeline on one synthetic cohort and compare them.
 
-Generates the cohort from a JSON config, applies all four pipelines,
-computes the QC-FC report for each (plus the uncorrected timeseries),
-and writes a side-by-side comparison table and CSV. All outputs land
-under --workdir; rerunning with the same config reproduces the same
-bytes.
+Generates the cohort from a JSON config, scores the uncorrected timeseries
+and each of the four pipelines with QC-FC, and writes a side-by-side
+comparison table and CSV. The steps are those of the `qcfc` commands, run in
+one process: every file `phantom`, `qc`, `correct` and `report` would write
+is written once, and the cohort is never read back. All outputs land under
+--workdir; rerunning with the same config reproduces the same bytes. Exit
+codes are those of `qcfc`.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from qcfc.cli import main as qcfc_main
+from qcfc.cli import (
+    RAW_PIPELINE_NAME,
+    cmd_report,
+    correct_cohort,
+    phantom,
+    run_guarded,
+    score_cohort,
+)
 from qcfc.pipelines import PipelineKind
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference_cohort.json"
 
 
-def run(argv: list[str]) -> None:
-    rc = qcfc_main(argv)
-    if rc != 0:
-        sys.exit(rc)
+def compare(config: str, work: Path, bins: int) -> None:
+    cohort = phantom(config, work / "cohort")
+    # Keep only what scoring needs: the truth and injected contamination
+    # would otherwise stay alive through every pipeline.
+    bundles, parcellation = cohort.bundles, cohort.parcellation
+    del cohort
+
+    reports = [work / f"qc_{RAW_PIPELINE_NAME}.json"]
+    raw = ((b.subject_id, b.motion, b.ts) for b in bundles)
+    score_cohort(RAW_PIPELINE_NAME, parcellation, raw, reports[0], bins)
+    for kind in PipelineKind:
+        corrected = correct_cohort(bundles, kind, work / f"corrected_{kind.value}")
+        reports.append(work / f"qc_{kind.value}.json")
+        score_cohort(kind.value, parcellation, corrected, reports[-1], bins)
+
+    print()
+    cmd_report([str(r) for r in reports], str(work / "comparison.csv"))
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config", default=str(DEFAULT_CONFIG), help="cohort config JSON"
@@ -34,34 +56,8 @@ def main() -> None:
     )
     parser.add_argument("--bins", type=int, default=50, help="histogram bin count")
     args = parser.parse_args()
-
-    work = Path(args.workdir)
-    data = work / "cohort"
-    run(["phantom", "--config", args.config, "--out", str(data)])
-    manifest = str(data / "manifest.json")
-
-    reports = []
-    raw_report = work / "qc_raw.json"
-    run(
-        ["qc", "--manifest", manifest, "--raw", "--report", str(raw_report)]
-        + ["--bins", str(args.bins)]
-    )
-    reports.append(raw_report)
-
-    for kind in PipelineKind:
-        name = kind.value
-        corrected = work / f"corrected_{name}"
-        run(["correct", "--manifest", manifest, "--pipeline", name, "--out", str(corrected)])
-        report = work / f"qc_{name}.json"
-        run(
-            ["qc", "--manifest", manifest, "--corrected", str(corrected)]
-            + ["--report", str(report), "--bins", str(args.bins)]
-        )
-        reports.append(report)
-
-    print()
-    run(["report", *[str(r) for r in reports], "--csv", str(work / "comparison.csv")])
+    return run_guarded(compare, args.config, Path(args.workdir), args.bins)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

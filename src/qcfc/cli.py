@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
+from pathlib import Path, PurePosixPath, PureWindowsPath
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
+    Parcellation,
     distance_dependence,
     edge_lengths,
     fc_matrix,
@@ -39,7 +41,7 @@ from .metrics import (
     qcfc,
 )
 from .phantom import PhantomConfig, PhantomCohort, generate_cohort
-from .pipelines import PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
+from .pipelines import HeadMotion, PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
 from .regression import DesignMatrix, RegressorSource, SignalMatrix
 from .storage import (
     format_float,
@@ -63,6 +65,10 @@ __all__ = [
     "load_manifest",
     "load_bundle",
     "histogram_points",
+    "phantom",
+    "correct_cohort",
+    "score_cohort",
+    "run_guarded",
     "cmd_phantom",
     "cmd_correct",
     "cmd_qc",
@@ -73,6 +79,20 @@ __all__ = [
 SCHEMA_VERSION = "1"
 RAW_PIPELINE_NAME = "raw"
 RUN_INFO_NAME = "run_info.json"
+SUBJECT_FILES = ("ts", "motion", "aroma", "physio")
+# One subject as the scoring step takes it: (subject_id, motion, timeseries).
+Subject = tuple[str, HeadMotion, SignalMatrix]
+
+
+def _manifest_path(value, what: str) -> str:
+    """A manifest file path, refused unless it stays inside the manifest's directory."""
+    path = str(value)
+    flavours = (PurePosixPath(path), PureWindowsPath(path))
+    if any(p.is_absolute() or ".." in p.parts for p in flavours):
+        raise ValidationError(
+            f"manifest {what}: {path!r} must be a relative path without '..' components"
+        )
+    return path
 
 
 @dataclass(frozen=True)
@@ -93,20 +113,7 @@ class CohortManifest:
     subjects: tuple[SubjectPaths, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "parcellation_path": self.parcellation_path,
-            "subjects": [
-                {
-                    "subject_id": s.subject_id,
-                    "ts": s.ts,
-                    "motion": s.motion,
-                    "aroma": s.aroma,
-                    "physio": s.physio,
-                }
-                for s in self.subjects
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CohortManifest":
@@ -119,6 +126,7 @@ class CohortManifest:
             )
         if "parcellation_path" not in raw:
             raise ValidationError("manifest is missing parcellation_path")
+        parcellation_path = _manifest_path(raw["parcellation_path"], "parcellation_path")
         entries = raw.get("subjects")
         if not isinstance(entries, list) or not entries:
             raise ValidationError("manifest must list at least one subject")
@@ -127,11 +135,7 @@ class CohortManifest:
         for k, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValidationError(f"manifest subject {k} is not an object")
-            missing = [
-                key
-                for key in ("subject_id", "ts", "motion", "aroma", "physio")
-                if key not in entry
-            ]
+            missing = [key for key in ("subject_id", *SUBJECT_FILES) if key not in entry]
             if missing:
                 raise ValidationError(f"manifest subject {k} is missing {missing[0]!r}")
             sid = str(entry["subject_id"])
@@ -143,16 +147,9 @@ class CohortManifest:
             if sid in seen:
                 raise ValidationError(f"duplicate subject_id {sid!r} in manifest")
             seen.add(sid)
-            subjects.append(
-                SubjectPaths(
-                    subject_id=sid,
-                    ts=str(entry["ts"]),
-                    motion=str(entry["motion"]),
-                    aroma=str(entry["aroma"]),
-                    physio=str(entry["physio"]),
-                )
-            )
-        return cls(SCHEMA_VERSION, str(raw["parcellation_path"]), tuple(subjects))
+            files = {key: _manifest_path(entry[key], f"subject {k} {key}") for key in SUBJECT_FILES}
+            subjects.append(SubjectPaths(sid, **files))
+        return cls(SCHEMA_VERSION, parcellation_path, tuple(subjects))
 
 
 @dataclass(frozen=True)
@@ -169,17 +166,7 @@ class RunReport:
     histogram: tuple[tuple[float, int], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "pipeline": self.pipeline,
-            "n_subjects": self.n_subjects,
-            "n_edges": self.n_edges,
-            "median_abs_qcfc": self.median_abs_qcfc,
-            "dist_dependence_rho": self.dist_dependence_rho,
-            "dist_dependence_p": self.dist_dependence_p,
-            "undefined_edge_count": self.undefined_edge_count,
-            "histogram": [[center, count] for center, count in self.histogram],
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunReport":
@@ -235,16 +222,8 @@ def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Pa
         write_motion_csv(sub_dir / "motion.csv", bundle.motion)
         write_matrix_csv(sub_dir / "aroma.csv", bundle.aroma.values, bundle.aroma.column_labels)
         write_matrix_csv(sub_dir / "physio.csv", bundle.physio.values, bundle.physio.column_labels)
-        rel = Path(bundle.subject_id)
-        subjects.append(
-            SubjectPaths(
-                subject_id=bundle.subject_id,
-                ts=(rel / "ts.csv").as_posix(),
-                motion=(rel / "motion.csv").as_posix(),
-                aroma=(rel / "aroma.csv").as_posix(),
-                physio=(rel / "physio.csv").as_posix(),
-            )
-        )
+        sid = bundle.subject_id
+        subjects.append(SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}))
     manifest = CohortManifest(SCHEMA_VERSION, "parcellation.csv", tuple(subjects))
     manifest_path = out_dir / "manifest.json"
     write_json(manifest_path, manifest.to_dict())
@@ -261,12 +240,8 @@ def load_manifest(manifest_path: Path) -> tuple[CohortManifest, Path]:
             f"manifest references missing parcellation file {manifest.parcellation_path!r}"
         )
     for s in manifest.subjects:
-        for kind, rel in (
-            ("ts", s.ts),
-            ("motion", s.motion),
-            ("aroma", s.aroma),
-            ("physio", s.physio),
-        ):
+        for kind in SUBJECT_FILES:
+            rel = getattr(s, kind)
             if not (base / rel).is_file():
                 raise FileFormatError(
                     f"subject {s.subject_id!r}: missing {kind} file {rel!r}"
@@ -296,7 +271,8 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
         raise FileFormatError(f"subject {paths.subject_id!r}: {e}") from e
 
 
-def cmd_phantom(config_path: str, out_dir: str) -> int:
+def phantom(config_path: str, out_dir: str) -> PhantomCohort:
+    """Generate the cohort a config describes, write it under `out_dir`, and return it."""
     try:
         raw = read_json(Path(config_path))
     except FileFormatError as e:
@@ -304,35 +280,43 @@ def cmd_phantom(config_path: str, out_dir: str) -> int:
     cfg = PhantomConfig.from_dict(raw)
     cohort = generate_cohort(cfg)
     manifest_path = write_cohort(cohort, Path(out_dir), cfg)
-    print(
-        f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, "
-        f"{cfg.n_timepoints} timepoints"
-    )
+    print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
     print(f"manifest: {manifest_path}")
+    return cohort
+
+
+def cmd_phantom(config_path: str, out_dir: str) -> int:
+    phantom(config_path, out_dir)
     return 0
+
+
+def correct_cohort(
+    bundles: Iterable[SubjectBundle], kind: PipelineKind, out: Path
+) -> Iterator[Subject]:
+    """Correct and write each subject to `out/<subject_id>.csv`, yielding it as it is written.
+
+    After the last subject, writes `run_info.json` and prints a summary line.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    spec = PipelineSpec(kind)
+    n_subjects = 0
+    for n_subjects, bundle in enumerate(bundles, 1):
+        corrected = run_pipeline(bundle, spec)
+        write_matrix_csv(
+            out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
+        )
+        yield bundle.subject_id, bundle.motion, corrected
+    info = {"schema_version": SCHEMA_VERSION, "pipeline": kind.value, "n_subjects": n_subjects}
+    write_json(out / RUN_INFO_NAME, info)
+    print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
 
 def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> int:
     kind = PipelineKind.from_name(pipeline_name)
     manifest, base = load_manifest(Path(manifest_path))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = PipelineSpec(kind)
-    for paths in manifest.subjects:
-        bundle = load_bundle(base, paths)
-        corrected = run_pipeline(bundle, spec)
-        write_matrix_csv(
-            out / f"{paths.subject_id}.csv", corrected.values, corrected.column_labels
-        )
-    write_json(
-        out / RUN_INFO_NAME,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "pipeline": kind.value,
-            "n_subjects": len(manifest.subjects),
-        },
-    )
-    print(f"pipeline {kind.value}: wrote {len(manifest.subjects)} corrected timeseries to {out}")
+    bundles = (load_bundle(base, paths) for paths in manifest.subjects)
+    for _ in correct_cohort(bundles, kind, Path(out_dir)):
+        pass
     return 0
 
 
@@ -351,48 +335,26 @@ def _corrected_pipeline_name(corrected_dir: Path) -> str:
     return name
 
 
-def cmd_qc(
-    manifest_path: str,
-    corrected_dir: str | None,
-    raw: bool,
-    report_path: str,
-    bins: int = 50,
-) -> int:
-    if raw == (corrected_dir is not None):
-        raise ValidationError("exactly one of --corrected and --raw is required")
-    manifest, base = load_manifest(Path(manifest_path))
-    parc = read_parcellation_csv(base / manifest.parcellation_path)
+def score_cohort(
+    pipeline_name: str,
+    parcellation: Parcellation,
+    subjects: Iterable[Subject],
+    report_path: Path,
+    bins: int,
+) -> None:
+    """Score a cohort with QC-FC and distance dependence; write the report and its histogram CSV.
 
-    if raw:
-        pipeline_name = RAW_PIPELINE_NAME
-    else:
-        pipeline_name = _corrected_pipeline_name(Path(corrected_dir))
-
-    fcs = []
-    mfds = []
-    for paths in manifest.subjects:
-        motion = read_motion_csv(base / paths.motion)
+    Every timeseries must carry the parcellation's ROI labels.
+    """
+    fcs, mfds = [], []
+    for subject_id, motion, ts in subjects:
+        if ts.column_labels != parcellation.roi_labels:
+            raise SchemaError(f"subject {subject_id!r}: ROI labels differ from the parcellation")
         mfds.append(mean_fd(framewise_displacement(motion)))
-        if raw:
-            ts_path = base / paths.ts
-        else:
-            ts_path = Path(corrected_dir) / f"{paths.subject_id}.csv"
-            if not ts_path.is_file():
-                raise FileFormatError(
-                    f"subject {paths.subject_id!r}: missing corrected file {ts_path}"
-                )
-        try:
-            values, labels = read_matrix_csv(ts_path)
-        except FileFormatError as e:
-            raise FileFormatError(f"subject {paths.subject_id!r}: {e}") from e
-        if labels != parc.roi_labels:
-            raise SchemaError(
-                f"subject {paths.subject_id!r}: ROI labels differ from the parcellation"
-            )
-        fcs.append(fc_matrix(SignalMatrix(values, labels)))
+        fcs.append(fc_matrix(ts))
 
     report = qcfc(fcs, np.array(mfds))
-    rho, p = distance_dependence(report, edge_lengths(parc))
+    rho, p = distance_dependence(report, edge_lengths(parcellation))
     run_report = RunReport(
         pipeline=pipeline_name,
         n_subjects=report.n_subjects,
@@ -403,11 +365,9 @@ def cmd_qc(
         undefined_edge_count=report.undefined_edge_count,
         histogram=histogram_points(report.edge_qcfc, bins),
     )
-    report_file = Path(report_path)
-    if report_file.parent and not report_file.parent.exists():
-        report_file.parent.mkdir(parents=True, exist_ok=True)
-    write_json(report_file, run_report.to_dict())
-    hist_path = report_file.with_name(report_file.stem + "_histogram.csv")
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(report_path, run_report.to_dict())
+    hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
     lines = ["bin_center,count"]
     lines.extend(f"{format_float(c)},{k}" for c, k in run_report.histogram)
     atomic_write_text(hist_path, "\n".join(lines) + "\n")
@@ -415,6 +375,31 @@ def cmd_qc(
     print(f"median_abs_qcfc: {run_report.median_abs_qcfc:.6f}")
     print(f"dist_dependence_rho: {run_report.dist_dependence_rho:.6f}")
     print(f"dist_dependence_p: {run_report.dist_dependence_p:.6f}")
+
+
+def cmd_qc(
+    manifest_path: str, corrected_dir: str | None, raw: bool, report_path: str, bins: int = 50
+) -> int:
+    if raw == (corrected_dir is not None):
+        raise ValidationError("exactly one of --corrected and --raw is required")
+    manifest, base = load_manifest(Path(manifest_path))
+    parc = read_parcellation_csv(base / manifest.parcellation_path)
+    pipeline_name = RAW_PIPELINE_NAME if raw else _corrected_pipeline_name(Path(corrected_dir))
+
+    def subjects() -> Iterator[Subject]:
+        for paths in manifest.subjects:
+            sid = paths.subject_id
+            motion = read_motion_csv(base / paths.motion)
+            ts_path = base / paths.ts if raw else Path(corrected_dir) / f"{sid}.csv"
+            if not raw and not ts_path.is_file():
+                raise FileFormatError(f"subject {sid!r}: missing corrected file {ts_path}")
+            try:
+                ts = SignalMatrix(*read_matrix_csv(ts_path))
+            except (FileFormatError, DimensionError) as e:
+                raise FileFormatError(f"subject {sid!r}: {e}") from e
+            yield sid, motion, ts
+
+    score_cohort(pipeline_name, parc, subjects(), Path(report_path), bins)
     return 0
 
 
@@ -426,14 +411,13 @@ def cmd_report(report_paths: list[str], csv_path: str | None = None) -> int:
         f"{'dist_dep_rho':>12}  {'dist_dep_p':>12}  {'undefined':>9}"
     )
     print(header)
+    lines = ["pipeline,n_subjects,median_abs_qcfc,dist_dependence_rho,dist_dependence_p,undefined_edge_count"]
     for r in reports:
         print(
             f"{r.pipeline:<{name_width}}  {r.median_abs_qcfc:>15.6f}  "
             f"{r.dist_dependence_rho:>12.6f}  {r.dist_dependence_p:>12.6f}  "
             f"{r.undefined_edge_count:>9d}"
         )
-    lines = ["pipeline,n_subjects,median_abs_qcfc,dist_dependence_rho,dist_dependence_p,undefined_edge_count"]
-    for r in reports:
         lines.append(
             f"{r.pipeline},{r.n_subjects},{format_float(r.median_abs_qcfc)},"
             f"{format_float(r.dist_dependence_rho)},{format_float(r.dist_dependence_p)},"
@@ -459,6 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phantom = sub.add_parser("phantom", help="generate a synthetic cohort")
     p_phantom.add_argument("--config", required=True, help="JSON config path")
     p_phantom.add_argument("--out", required=True, help="output directory")
+    p_phantom.set_defaults(run=lambda a: cmd_phantom(a.config, a.out))
 
     p_correct = sub.add_parser("correct", help="apply a correction pipeline")
     p_correct.add_argument("--manifest", required=True, help="cohort manifest path")
@@ -468,6 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one of: " + ", ".join(k.value for k in PipelineKind),
     )
     p_correct.add_argument("--out", required=True, help="output directory")
+    p_correct.set_defaults(run=lambda a: cmd_correct(a.manifest, a.pipeline, a.out))
 
     p_qc = sub.add_parser("qc", help="compute QC-FC metrics over a cohort")
     p_qc.add_argument("--manifest", required=True, help="cohort manifest path")
@@ -476,40 +462,40 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--raw", action="store_true", help="use uncorrected timeseries")
     p_qc.add_argument("--report", required=True, help="output report JSON path")
     p_qc.add_argument("--bins", type=int, default=50, help="histogram bin count")
+    p_qc.set_defaults(run=lambda a: cmd_qc(a.manifest, a.corrected, a.raw, a.report, a.bins))
 
     p_report = sub.add_parser("report", help="compare QC reports side by side")
     p_report.add_argument("reports", nargs="+", help="report JSON paths")
     p_report.add_argument("--csv", help="write the combined CSV here")
+    p_report.set_defaults(run=lambda a: cmd_report(a.reports, a.csv))
     return parser
+
+
+# Each documented failure and its exit code; see the module docstring.
+EXIT_CODES = {
+    ValidationError: 2,
+    SchemaError: 2,
+    OSError: 3,
+    FileFormatError: 4,
+    DataIntegrityError: 4,
+    DimensionError: 4,
+    DegenerateInputError: 5,
+}
+
+
+def run_guarded(command, *args) -> int:
+    """Call `command(*args)`; map a documented failure to its exit code and one `error:` line."""
+    try:
+        command(*args)
+    except tuple(EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "phantom":
-            return cmd_phantom(args.config, args.out)
-        if args.command == "correct":
-            return cmd_correct(args.manifest, args.pipeline, args.out)
-        if args.command == "qc":
-            return cmd_qc(args.manifest, args.corrected, args.raw, args.report, args.bins)
-        if args.command == "report":
-            return cmd_report(args.reports, args.csv)
-        raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except DegenerateInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except (DataIntegrityError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    return run_guarded(args.run, args)
 
 
 if __name__ == "__main__":

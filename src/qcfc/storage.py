@@ -3,9 +3,11 @@
 All matrices are CSV with one header row (columns = ROIs, regressors, or
 motion parameters; rows = timepoints). Floats are written with 17
 significant digits so a write/read round trip is exact. Writes go to a
-temporary file in the same directory and are renamed into place, so a
-failed run never leaves a partial file. JSON uses sorted keys and a fixed
-indent; nothing embeds timestamps, so reruns are byte-identical.
+uniquely named temporary file in the same directory, are synced to disk and
+renamed into place, so a failed run never leaves a partial file and two runs
+never share a temporary file; a failed write removes its temporary file.
+JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +45,18 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write through a uniquely named temporary file, synced, then renamed onto `path`."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(rows) -> str:

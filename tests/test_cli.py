@@ -253,6 +253,49 @@ class TestCorrectCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, path",
+        [
+            ("ts", lambda cohort: str(cohort / "sub-001" / "ts.csv")),
+            ("motion", lambda cohort: "../cohort/sub-001/motion.csv"),
+            ("aroma", lambda cohort: "sub-000/../sub-001/aroma.csv"),
+            ("physio", lambda cohort: "..\\cohort\\sub-001\\physio.csv"),
+            ("parcellation_path", lambda cohort: str(cohort / "parcellation.csv")),
+        ],
+        ids=[
+            "absolute-ts",
+            "parent-motion",
+            "inner-dotdot-aroma",
+            "backslash-physio",
+            "absolute-parcellation",
+        ],
+    )
+    def test_manifest_paths_must_stay_in_its_directory(
+        self, cohort_dir, tmp_path, capsys, key, path
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        entry = manifest if key == "parcellation_path" else manifest["subjects"][0]
+        entry[key] = path(cohort)
+        (cohort / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "correct",
+                "--manifest",
+                str(cohort / "manifest.json"),
+                "--pipeline",
+                "concat",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "relative path" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "name, edit",
         [
             ("aroma.csv", lambda lines: lines[:-1]),

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -181,3 +184,29 @@ class TestFormatFloat:
         atomic_write_text(target, "hello")
         assert target.read_text() == "hello"
         assert list(tmp_path.iterdir()) == [target]
+
+
+class TestAtomicWrite:
+    def test_stale_temp_name_does_not_block(self, tmp_path):
+        target = tmp_path / "run_info.json"
+        (tmp_path / "run_info.json.tmp").mkdir()
+        atomic_write_text(target, "hello")
+        assert target.read_text() == "hello"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError):
+            atomic_write_text(taken, "hello")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "unencodable.txt", "\udc80")
+        assert list(tmp_path.iterdir()) == [taken]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("hello")
+        atomic_write_text(tmp_path / "atomic.txt", "hello")
+        def mode(name):
+            return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+        assert mode("atomic.txt") == mode("plain.txt")
