@@ -7,8 +7,9 @@ Four subcommands cover the full chain:
     qcfc qc --manifest cohort/manifest.json --corrected corr/ --report qc.json
     qcfc report qc_*.json --csv comparison.csv
 
-Exit codes: 0 success; 2 invalid config, unknown pipeline, or schema
-mismatch; 3 filesystem failure (unwritable output); 4 malformed or missing
+Exit codes: 0 success; 2 invalid config, unknown pipeline, schema
+mismatch, or not enough memory (for example a phantom config too large to
+generate); 3 filesystem failure (unwritable output); 4 malformed or missing
 data file; 5 degenerate input (too few subjects, constant mean FD).
 Paths inside a manifest are relative to the manifest's directory.
 """
@@ -475,6 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 EXIT_CODES = {
     ValidationError: 2,
     SchemaError: 2,
+    MemoryError: 2,
     OSError: 3,
     FileFormatError: 4,
     DataIntegrityError: 4,

@@ -2,10 +2,13 @@
 
 All matrices are CSV with one header row (columns = ROIs, regressors, or
 motion parameters; rows = timepoints). Floats are written with 17
-significant digits so a write/read round trip is exact. Writes go to a
-uniquely named temporary file in the same directory, are synced to disk and
-renamed into place, so a failed run never leaves a partial file and two runs
-never share a temporary file; a failed write removes its temporary file.
+significant digits so a write/read round trip is exact. A matrix is
+formatted one row at a time through a single `%.17g,...,%.17g` row format;
+only the header row goes through `csv` quoting, since labels may contain
+commas, quotes or newlines. Writes go to a uniquely named temporary file
+in the same directory, are synced to disk and renamed into place, so a
+failed run never leaves a partial file and two runs never share a temporary
+file; a failed write removes its temporary file.
 JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
 reruns are byte-identical.
 """
@@ -13,6 +16,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import uuid
@@ -60,8 +64,6 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _csv_text(rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -83,9 +85,11 @@ def write_matrix_csv(path: Path, values: np.ndarray, labels) -> None:
         raise FileFormatError(
             f"matrix shape {values.shape} does not match {len(labels)} labels"
         )
-    rows = [labels]
-    rows.extend([format_float(v) for v in row] for row in values)
-    atomic_write_text(path, _csv_text(rows))
+    # `"%.17g" % x` and `format_float(x)` give the same text for every
+    # float64, and no such cell needs `csv` quoting; only labels can.
+    row_format = ",".join(["%.17g"] * len(labels)) + "\n"
+    body = "".join([row_format % tuple(row) for row in values.tolist()])
+    atomic_write_text(path, _csv_text([labels]) + body)
 
 
 def read_matrix_csv(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -3,10 +3,13 @@
 Everything here deliberately takes a different route than the package:
 residuals via normal equations with an SVD pseudo-inverse, correlation from
 the definitional covariance formula, p-values by numerically integrating a
-hand-written t density, ranks by explicit tie-group averaging, and the
-edge-level metrics as plain loops over edges.
+hand-written t density, ranks by explicit tie-group averaging, the
+edge-level metrics as plain loops over edges, and matrix CSV text cell by
+cell through the `csv` module.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -128,3 +131,14 @@ def oracle_distance_dependence(edge_r, lengths):
     lengths = np.asarray(lengths, dtype=float)
     keep = ~np.isnan(edge_r)
     return oracle_spearman(edge_r[keep], lengths[keep])
+
+
+def oracle_matrix_csv(values, labels):
+    """Matrix CSV text as the writer has always produced it: every cell through
+    `format(x, ".17g")` and every row, header included, through `csv.writer`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(labels))
+    rows = np.asarray(values, dtype=float)
+    writer.writerows([format(float(x), ".17g") for x in row] for row in rows)
+    return buf.getvalue()

@@ -119,6 +119,16 @@ class TestPhantomCommand:
         )
         assert rc == 2
 
+    def test_config_larger_than_memory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_timepoints=10**12)
+        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: Unable to allocate")
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_out_path_collision_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24)
         blocked = tmp_path / "blocked"

@@ -3,6 +3,9 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qcfc import FileFormatError, HeadMotion, Parcellation
 from qcfc.storage import (
@@ -18,6 +21,33 @@ from qcfc.storage import (
     write_motion_csv,
     write_parcellation_csv,
 )
+
+from .oracles import oracle_matrix_csv
+
+EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2250738585072009e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+)
+LABEL_TEXT = st.text(alphabet=st.sampled_from("ab,\"\n\r é"), max_size=4)
+
+
+@st.composite
+def labelled_matrices(draw):
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6))
+    bit_patterns = st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
+    )
+    elements = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), bit_patterns)
+    values = draw(arrays(np.float64, shape, elements=elements))
+    labels = draw(st.lists(LABEL_TEXT, min_size=shape[1], max_size=shape[1]))
+    return values, labels
 
 
 class TestMatrixRoundTrip:
@@ -60,6 +90,32 @@ class TestMatrixRoundTrip:
         write_matrix_csv(tmp_path / "a.csv", values, ["x", "y", "z"])
         write_matrix_csv(tmp_path / "b.csv", values, ["x", "y", "z"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestMatrixBytes:
+    @settings(
+        deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(labelled_matrices())
+    @example((np.array(EDGE_FLOATS).reshape(1, -1), [str(i) for i in range(len(EDGE_FLOATS))]))
+    @example((np.zeros((0, 3)), ["a,b", 'q"d', "line\nbreak"]))
+    @example((np.zeros((3, 0)), []))
+    @example((np.array([[-0.0]]), [""]))
+    def test_bytes_match_cell_by_cell_writer(self, tmp_path, matrix):
+        values, labels = matrix
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values, labels)
+        assert path.read_bytes() == oracle_matrix_csv(values, labels).encode("utf-8")
+
+    def test_literal_bytes(self, tmp_path):
+        values = np.array([[0.1, -0.0, 5e-324], [1.0 / 3.0, -1.7976931348623157e308, 2.5e-7]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values, ["a", "b,c", 'q"d'])
+        assert path.read_bytes() == (
+            b'a,"b,c","q""d"\n'
+            b"0.10000000000000001,-0,4.9406564584124654e-324\n"
+            b"0.33333333333333331,-1.7976931348623157e+308,2.4999999999999999e-07\n"
+        )
 
 
 class TestMatrixErrors:
