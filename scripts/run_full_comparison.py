@@ -16,9 +16,9 @@ from pathlib import Path
 
 from qcfc.cli import (
     RAW_PIPELINE_NAME,
+    cmd_phantom,
     cmd_report,
     correct_cohort,
-    phantom,
     run_guarded,
     score_cohort,
 )
@@ -28,7 +28,7 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference
 
 
 def compare(config: str, work: Path, bins: int) -> None:
-    cohort = phantom(config, work / "cohort")
+    cohort = cmd_phantom(config, work / "cohort")
     # Keep only what scoring needs: the truth and injected contamination
     # would otherwise stay alive through every pipeline.
     bundles, parcellation = cohort.bundles, cohort.parcellation

@@ -9,9 +9,11 @@ Four subcommands cover the full chain:
 
 Exit codes: 0 success; 2 invalid config, unknown pipeline, schema
 mismatch, or not enough memory (for example a phantom config too large to
-generate); 3 filesystem failure (unwritable output); 4 malformed or missing
-data file; 5 degenerate input (too few subjects, constant mean FD).
-Paths inside a manifest are relative to the manifest's directory.
+generate); 3 filesystem failure (unwritable output); 4 malformed, missing
+or inconsistent data file; 5 degenerate input (too few subjects, constant
+mean FD). Data and JSON files are read as UTF-8; a file with an invalid byte
+is malformed (exit 4, or 2 for the `phantom` config). Paths inside a
+manifest are relative to the manifest's directory.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ __all__ = [
     "load_manifest",
     "load_bundle",
     "histogram_points",
-    "phantom",
     "correct_cohort",
     "score_cohort",
     "run_guarded",
@@ -272,7 +273,7 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
         raise FileFormatError(f"subject {paths.subject_id!r}: {e}") from e
 
 
-def phantom(config_path: str, out_dir: str) -> PhantomCohort:
+def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
     """Generate the cohort a config describes, write it under `out_dir`, and return it."""
     try:
         raw = read_json(Path(config_path))
@@ -284,11 +285,6 @@ def phantom(config_path: str, out_dir: str) -> PhantomCohort:
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
     print(f"manifest: {manifest_path}")
     return cohort
-
-
-def cmd_phantom(config_path: str, out_dir: str) -> int:
-    phantom(config_path, out_dir)
-    return 0
 
 
 def correct_cohort(
@@ -312,13 +308,12 @@ def correct_cohort(
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
 
-def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> int:
+def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> None:
     kind = PipelineKind.from_name(pipeline_name)
     manifest, base = load_manifest(Path(manifest_path))
     bundles = (load_bundle(base, paths) for paths in manifest.subjects)
     for _ in correct_cohort(bundles, kind, Path(out_dir)):
         pass
-    return 0
 
 
 def _corrected_pipeline_name(corrected_dir: Path) -> str:
@@ -345,12 +340,18 @@ def score_cohort(
 ) -> None:
     """Score a cohort with QC-FC and distance dependence; write the report and its histogram CSV.
 
-    Every timeseries must carry the parcellation's ROI labels.
+    Every timeseries must carry the parcellation's ROI labels and as many
+    rows as its subject's motion.
     """
     fcs, mfds = [], []
     for subject_id, motion, ts in subjects:
         if ts.column_labels != parcellation.roi_labels:
             raise SchemaError(f"subject {subject_id!r}: ROI labels differ from the parcellation")
+        if motion.n_timepoints != ts.n_timepoints:
+            raise DimensionError(
+                f"subject {subject_id!r}: motion has {motion.n_timepoints} rows, "
+                f"timeseries has {ts.n_timepoints}"
+            )
         mfds.append(mean_fd(framewise_displacement(motion)))
         fcs.append(fc_matrix(ts))
 
@@ -380,7 +381,7 @@ def score_cohort(
 
 def cmd_qc(
     manifest_path: str, corrected_dir: str | None, raw: bool, report_path: str, bins: int = 50
-) -> int:
+) -> None:
     if raw == (corrected_dir is not None):
         raise ValidationError("exactly one of --corrected and --raw is required")
     manifest, base = load_manifest(Path(manifest_path))
@@ -390,21 +391,20 @@ def cmd_qc(
     def subjects() -> Iterator[Subject]:
         for paths in manifest.subjects:
             sid = paths.subject_id
-            motion = read_motion_csv(base / paths.motion)
-            ts_path = base / paths.ts if raw else Path(corrected_dir) / f"{sid}.csv"
-            if not raw and not ts_path.is_file():
-                raise FileFormatError(f"subject {sid!r}: missing corrected file {ts_path}")
             try:
+                motion = read_motion_csv(base / paths.motion)
+                ts_path = base / paths.ts if raw else Path(corrected_dir) / f"{sid}.csv"
+                if not raw and not ts_path.is_file():
+                    raise FileFormatError(f"missing corrected file {ts_path}")
                 ts = SignalMatrix(*read_matrix_csv(ts_path))
             except (FileFormatError, DimensionError) as e:
                 raise FileFormatError(f"subject {sid!r}: {e}") from e
             yield sid, motion, ts
 
     score_cohort(pipeline_name, parc, subjects(), Path(report_path), bins)
-    return 0
 
 
-def cmd_report(report_paths: list[str], csv_path: str | None = None) -> int:
+def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
     reports = [RunReport.from_dict(read_json(Path(p))) for p in report_paths]
     name_width = max(len("pipeline"), max(len(r.pipeline) for r in reports))
     header = (
@@ -431,7 +431,6 @@ def cmd_report(report_paths: list[str], csv_path: str | None = None) -> int:
     else:
         atomic_write_text(Path(csv_path), csv_text)
         print(f"comparison csv: {csv_path}")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -207,13 +207,15 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def _t_pvalue(r: float, m: int) -> float:
-    """Two-sided p for a correlation of m samples via the t transform."""
+def _t_pvalues(r: np.ndarray, m: int) -> np.ndarray:
+    """Two-sided p for each correlation of m samples via the t transform; |r| = 1 gives 0."""
     df = m - 2
-    if abs(r) >= 1.0:
-        return 0.0
-    t = r * np.sqrt(df / (1.0 - r * r))
-    return float(2.0 * scipy.special.stdtr(df, -abs(t)))
+    p = np.zeros_like(r)
+    # Written so that a NaN r (an overflowed `pearson` input) keeps a NaN p.
+    rest = ~(np.abs(r) >= 1.0)
+    t = r[rest] * np.sqrt(df / (1.0 - r[rest] * r[rest]))
+    p[rest] = 2.0 * scipy.special.stdtr(df, -np.abs(t))
+    return p
 
 
 def pearson(x, y) -> tuple[float, float]:
@@ -233,7 +235,7 @@ def pearson(x, y) -> tuple[float, float]:
     prod = ssx * ssy
     denom = math.sqrt(prod) if math.isfinite(prod) else math.sqrt(ssx) * math.sqrt(ssy)
     r = float(np.clip(float(xc @ yc) / denom, -1.0, 1.0))
-    return r, _t_pvalue(r, xa.size)
+    return r, float(_t_pvalues(np.array([r]), xa.size)[0])
 
 
 def spearman(x, y) -> tuple[float, float]:
@@ -314,13 +316,8 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
     if defined.any():
         r_def = (centered[:, defined].T @ g) / np.sqrt(ss_edges[defined] * ssg)
         r_def = np.clip(r_def, -1.0, 1.0)
-        df = s - 2
-        p_def = np.zeros_like(r_def)
-        open_interval = np.abs(r_def) < 1.0
-        t = r_def[open_interval] * np.sqrt(df / (1.0 - r_def[open_interval] ** 2))
-        p_def[open_interval] = 2.0 * scipy.special.stdtr(df, -np.abs(t))
         r_vals[defined] = r_def
-        p_vals[defined] = p_def
+        p_vals[defined] = _t_pvalues(r_def, s)
         median_abs = float(np.median(np.abs(r_def)))
     else:
         median_abs = float("nan")

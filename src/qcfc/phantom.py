@@ -20,7 +20,7 @@ injected amplitude, not the realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,18 +52,6 @@ _ROTATION_SCALE = 1.0 / 50.0
 _FACTOR_LOADING_LOW = 0.3
 _FACTOR_LOADING_HIGH = 0.8
 _PHYSIO_LOADING_STD = 0.3
-
-_CONFIG_FIELDS = (
-    "n_subjects",
-    "n_rois",
-    "n_timepoints",
-    "motion_amplitude_range",
-    "artifact_gain",
-    "artifact_length_scale",
-    "n_aroma_components",
-    "aroma_hmp_mixing",
-    "seed",
-)
 
 
 def _require_int(value, field: str, minimum: int) -> int:
@@ -135,39 +123,17 @@ class PhantomConfig:
     def from_dict(cls, raw: dict) -> "PhantomConfig":
         if not isinstance(raw, dict):
             raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(raw) - set(names))
         if unknown:
             raise ValidationError(f"unknown config field {unknown[0]!r}")
-        missing = [f for f in _CONFIG_FIELDS if f not in raw]
+        missing = [name for name in names if name not in raw]
         if missing:
             raise ValidationError(f"missing config field {missing[0]!r}")
-        pair = raw["motion_amplitude_range"]
-        if isinstance(pair, list):
-            pair = tuple(pair)
-        return cls(
-            n_subjects=raw["n_subjects"],
-            n_rois=raw["n_rois"],
-            n_timepoints=raw["n_timepoints"],
-            motion_amplitude_range=pair,
-            artifact_gain=raw["artifact_gain"],
-            artifact_length_scale=raw["artifact_length_scale"],
-            n_aroma_components=raw["n_aroma_components"],
-            aroma_hmp_mixing=raw["aroma_hmp_mixing"],
-            seed=raw["seed"],
-        )
+        return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "n_rois": self.n_rois,
-            "n_timepoints": self.n_timepoints,
-            "motion_amplitude_range": list(self.motion_amplitude_range),
-            "artifact_gain": self.artifact_gain,
-            "artifact_length_scale": self.artifact_length_scale,
-            "n_aroma_components": self.n_aroma_components,
-            "aroma_hmp_mixing": self.aroma_hmp_mixing,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

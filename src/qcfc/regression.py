@@ -15,7 +15,7 @@ behavior; use a single concatenated design when joint removal is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -142,11 +142,9 @@ def demean_columns(arr: np.ndarray) -> np.ndarray:
 
 def demean(m: SignalMatrix | DesignMatrix) -> SignalMatrix | DesignMatrix:
     """Return a copy of a signal or design matrix with zero-mean columns."""
-    if isinstance(m, DesignMatrix):
-        return DesignMatrix(demean_columns(m.values), m.column_labels, m.source)
-    if isinstance(m, SignalMatrix):
-        return SignalMatrix(demean_columns(m.values), m.column_labels)
-    raise TypeError(f"demean expects a SignalMatrix or DesignMatrix, got {type(m).__name__}")
+    if not is_dataclass(m):
+        raise TypeError(f"demean expects a SignalMatrix or DesignMatrix, got {type(m).__name__}")
+    return replace(m, values=demean_columns(m.values))
 
 
 def residualize_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ in the same directory, are synced to disk and renamed into place, so a
 failed run never leaves a partial file and two runs never share a temporary
 file; a failed write removes its temporary file.
 JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
-reruns are byte-identical.
+reruns are byte-identical. Every file is read and written as UTF-8. A file
+that cannot be opened or holds an invalid UTF-8 byte raises FileFormatError,
+a malformed file (exit code 4 in the CLI, 2 for the `phantom` config).
 """
 
 from __future__ import annotations
@@ -70,12 +72,17 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _read_rows(path: Path) -> list[list[str]]:
+def _read_text(path: Path) -> str:
+    """The file's text as UTF-8; an unreadable file or an invalid byte is a malformed file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
-    except OSError as e:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise FileFormatError(f"cannot read {path}: {e}") from e
+
+
+def _read_rows(path: Path) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
 
 
 def write_matrix_csv(path: Path, values: np.ndarray, labels) -> None:
@@ -168,10 +175,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def read_json(path: Path):
+    text = _read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise FileFormatError(f"cannot read {path}: {e}") from e
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: invalid JSON: {e}") from e

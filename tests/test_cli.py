@@ -475,6 +475,25 @@ class TestQcCommand:
         assert rc == 2
         assert "sub-000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--raw", "--corrected"])
+    def test_motion_rows_differ_exits_4(
+        self, cohort_dir, corrected_dir, tmp_path, capsys, source
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        motion = cohort / "sub-001" / "motion.csv"
+        lines = motion.read_text().splitlines()
+        motion.write_text("\n".join(lines[: 1 + TINY_CFG["n_timepoints"] // 2]) + "\n")
+        report = tmp_path / "qc.json"
+        flags = ["--raw"] if source == "--raw" else ["--corrected", str(corrected_dir)]
+        rc = main(
+            ["qc", "--manifest", str(cohort / "manifest.json"), *flags, "--report", str(report)]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "sub-001" in err and "motion" in err
+        assert not report.exists()
+
     def test_two_subjects_exit_5(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24, seed=9
@@ -550,6 +569,38 @@ class TestQcCommand:
                 ]
             )
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "target, expected", [("ts", 4), ("manifest", 4), ("report", 4), ("config", 2)]
+)
+def test_invalid_utf8_is_a_malformed_file(
+    cohort_dir, report_paths, tmp_path, capsys, target, expected
+):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    report = tmp_path / "qc.json"
+    shutil.copy(report_paths[0], report)
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    manifest = str(cohort / "manifest.json")
+    correct = ["correct", "--manifest", manifest, "--pipeline", "concat", "--out", str(out)]
+    bad, argv = {
+        "ts": (cohort / "sub-000" / "ts.csv", correct),
+        "manifest": (cohort / "manifest.json", correct),
+        "report": (report, ["report", str(report), "--csv", str(out)]),
+        "config": (config, ["phantom", "--config", str(config), "--out", str(out)]),
+    }[target]
+    with open(bad, "ab") as fh:
+        fh.write(b"\xff")
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert str(bad) in err
+    assert "Traceback" not in err
+    # `correct` creates its output directory before it reads the first
+    # subject; a run that stopped early has no run_info.json.
+    assert not (out / "run_info.json" if target == "ts" else out).exists()
 
 
 class TestReportCommand:

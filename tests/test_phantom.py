@@ -22,6 +22,7 @@ from qcfc import (
     truth_error,
 )
 from qcfc.pipelines import PipelineKind, PipelineSpec
+from qcfc.storage import write_json
 
 from .conftest import REFERENCE_CONFIG, SMALL_CONFIG
 
@@ -90,6 +91,26 @@ class TestConfigValidation:
         with pytest.raises(ValidationError) as err:
             PhantomConfig.from_dict(raw)
         assert "artifact_gain" in str(err.value)
+
+    def test_config_json_bytes(self, tmp_path):
+        path = tmp_path / "config.json"
+        write_json(path, SMALL_CONFIG.to_dict())
+        assert path.read_text() == (
+            "{\n"
+            '  "aroma_hmp_mixing": 0.6,\n'
+            '  "artifact_gain": 1.0,\n'
+            '  "artifact_length_scale": 40.0,\n'
+            '  "motion_amplitude_range": [\n'
+            "    0.1,\n"
+            "    2.0\n"
+            "  ],\n"
+            '  "n_aroma_components": 5,\n'
+            '  "n_rois": 30,\n'
+            '  "n_subjects": 12,\n'
+            '  "n_timepoints": 60,\n'
+            '  "seed": 7\n'
+            "}\n"
+        )
 
 
 class TestCohortShape:

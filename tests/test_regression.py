@@ -48,6 +48,10 @@ class TestDemean:
         assert out.column_labels == d.column_labels
         assert out.source is RegressorSource.HMP
 
+    def test_plain_array_is_a_type_error(self):
+        with pytest.raises(TypeError, match="SignalMatrix or DesignMatrix"):
+            demean(np.zeros((3, 2)))
+
     @given(
         arrays(
             np.float64,
