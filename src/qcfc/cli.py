@@ -108,24 +108,31 @@ class SubjectPaths:
     physio: str
 
 
+def _write_record(path: Path, record: dict) -> None:
+    """Write a JSON record stamped with the current schema version."""
+    write_json(path, {"schema_version": SCHEMA_VERSION, **record})
+
+
+def _read_record(path: Path) -> dict:
+    """Read a JSON record, refusing anything but an object of the current schema version."""
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: a record must be a JSON object")
+    version = raw.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(
+            f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}"
+        )
+    return raw
+
+
 @dataclass(frozen=True)
 class CohortManifest:
-    schema_version: str
     parcellation_path: str
     subjects: tuple[SubjectPaths, ...]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "CohortManifest":
-        if not isinstance(raw, dict):
-            raise ValidationError("manifest must be a JSON object")
-        version = raw.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported manifest schema_version {version!r}, expected {SCHEMA_VERSION!r}"
-            )
         if "parcellation_path" not in raw:
             raise ValidationError("manifest is missing parcellation_path")
         parcellation_path = _manifest_path(raw["parcellation_path"], "parcellation_path")
@@ -151,7 +158,7 @@ class CohortManifest:
             seen.add(sid)
             files = {key: _manifest_path(entry[key], f"subject {k} {key}") for key in SUBJECT_FILES}
             subjects.append(SubjectPaths(sid, **files))
-        return cls(SCHEMA_VERSION, parcellation_path, tuple(subjects))
+        return cls(parcellation_path, tuple(subjects))
 
 
 @dataclass(frozen=True)
@@ -167,18 +174,8 @@ class RunReport:
     undefined_edge_count: int
     histogram: tuple[tuple[float, int], ...]
 
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunReport":
-        if not isinstance(raw, dict):
-            raise SchemaError("report must be a JSON object")
-        version = raw.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported report schema_version {version!r}, expected {SCHEMA_VERSION!r}"
-            )
         try:
             return cls(
                 pipeline=str(raw["pipeline"]),
@@ -226,16 +223,15 @@ def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Pa
         write_matrix_csv(sub_dir / "physio.csv", bundle.physio.values, bundle.physio.column_labels)
         sid = bundle.subject_id
         subjects.append(SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}))
-    manifest = CohortManifest(SCHEMA_VERSION, "parcellation.csv", tuple(subjects))
     manifest_path = out_dir / "manifest.json"
-    write_json(manifest_path, manifest.to_dict())
+    _write_record(manifest_path, asdict(CohortManifest("parcellation.csv", tuple(subjects))))
     return manifest_path
 
 
 def load_manifest(manifest_path: Path) -> tuple[CohortManifest, Path]:
     """Read and validate a manifest; returns it with its base directory."""
     manifest_path = Path(manifest_path)
-    manifest = CohortManifest.from_dict(read_json(manifest_path))
+    manifest = CohortManifest.from_dict(_read_record(manifest_path))
     base = manifest_path.parent
     if not (base / manifest.parcellation_path).is_file():
         raise FileFormatError(
@@ -303,8 +299,7 @@ def correct_cohort(
             out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
         )
         yield bundle.subject_id, bundle.motion, corrected
-    info = {"schema_version": SCHEMA_VERSION, "pipeline": kind.value, "n_subjects": n_subjects}
-    write_json(out / RUN_INFO_NAME, info)
+    _write_record(out / RUN_INFO_NAME, {"pipeline": kind.value, "n_subjects": n_subjects})
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
 
@@ -322,13 +317,10 @@ def _corrected_pipeline_name(corrected_dir: Path) -> str:
         raise FileFormatError(
             f"{corrected_dir} has no {RUN_INFO_NAME}; run `correct` into this directory first"
         )
-    info = read_json(info_path)
-    if not isinstance(info, dict) or info.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"{info_path}: unsupported or missing schema_version")
-    name = info.get("pipeline")
-    if not isinstance(name, str):
-        raise SchemaError(f"{info_path}: missing pipeline name")
-    return name
+    try:
+        return PipelineKind.from_name(_read_record(info_path).get("pipeline")).value
+    except ValidationError as e:
+        raise ValidationError(f"{info_path}: {e}") from e
 
 
 def score_cohort(
@@ -368,7 +360,7 @@ def score_cohort(
         histogram=histogram_points(report.edge_qcfc, bins),
     )
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(report_path, run_report.to_dict())
+    _write_record(report_path, asdict(run_report))
     hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
     lines = ["bin_center,count"]
     lines.extend(f"{format_float(c)},{k}" for c, k in run_report.histogram)
@@ -405,7 +397,7 @@ def cmd_qc(
 
 
 def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
-    reports = [RunReport.from_dict(read_json(Path(p))) for p in report_paths]
+    reports = [RunReport.from_dict(_read_record(Path(p))) for p in report_paths]
     name_width = max(len("pipeline"), max(len(r.pipeline) for r in reports))
     header = (
         f"{'pipeline':<{name_width}}  {'median_abs_qcfc':>15}  "

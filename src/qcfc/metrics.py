@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
 )
 from .pipelines import HeadMotion
-from .regression import SignalMatrix
+from .regression import SignalMatrix, _validated_labels, _validated_matrix
 
 __all__ = [
     "FcMatrix",
@@ -66,22 +66,16 @@ class FcMatrix:
     roi_labels: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        labels = tuple(str(lab) for lab in self.roi_labels)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = _validated_matrix(self.values, "connectivity matrix", min_rows=0)
+        if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"connectivity matrix must be square, got shape {arr.shape}")
-        r = arr.shape[0]
-        if len(labels) != r:
-            raise DimensionError(f"matrix has {r} ROIs but {len(labels)} labels")
-        if not np.all(np.isfinite(arr)):
-            raise DataIntegrityError("connectivity matrix contains NaN or infinite entries")
+        labels = _validated_labels(self.roi_labels, arr.shape[0], "connectivity matrix")
         if np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
             raise DataIntegrityError("connectivity matrix is not symmetric within 1e-12")
         if not np.all(np.diag(arr) == 1.0):
             raise DataIntegrityError("connectivity diagonal must be exactly 1")
         if arr.min(initial=1.0) < -1.0 or arr.max(initial=-1.0) > 1.0:
             raise DataIntegrityError("connectivity entries must lie in [-1, 1]")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "roi_labels", labels)
 
@@ -103,19 +97,12 @@ class Parcellation:
     centroids: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(str(lab) for lab in self.roi_labels)
-        arr = np.array(self.centroids, dtype=float)
-        if len(labels) < 2:
-            raise DimensionError(f"parcellation needs at least 2 ROIs, got {len(labels)}")
+        arr = _validated_matrix(self.centroids, "centroids", min_rows=2)
+        if arr.shape[1] != 3:
+            raise DimensionError(f"centroids must be x, y, z coordinates, got shape {arr.shape}")
+        labels = _validated_labels(self.roi_labels, arr.shape[0], "parcellation")
         if len(set(labels)) != len(labels):
             raise SchemaError("parcellation labels must be unique")
-        if arr.ndim != 2 or arr.shape != (len(labels), 3):
-            raise DimensionError(
-                f"centroids must be {len(labels)} x 3 coordinates, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DataIntegrityError("centroids contain NaN or infinite entries")
-        arr.setflags(write=False)
         object.__setattr__(self, "roi_labels", labels)
         object.__setattr__(self, "centroids", arr)
 
@@ -211,7 +198,7 @@ def _t_pvalues(r: np.ndarray, m: int) -> np.ndarray:
     """Two-sided p for each correlation of m samples via the t transform; |r| = 1 gives 0."""
     df = m - 2
     p = np.zeros_like(r)
-    # Written so that a NaN r (an overflowed `pearson` input) keeps a NaN p.
+    # Written so that a NaN r keeps a NaN p.
     rest = ~(np.abs(r) >= 1.0)
     t = r[rest] * np.sqrt(df / (1.0 - r[rest] * r[rest]))
     p[rest] = 2.0 * scipy.special.stdtr(df, -np.abs(t))
@@ -224,12 +211,16 @@ def pearson(x, y) -> tuple[float, float]:
     The denominator is one square root of the product of the two sums of
     squares, so exactly collinear inputs land on exactly +/-1 instead of an
     ulp short; r is clamped to [-1, 1] against rounding the other way.
+    Finite inputs whose sums of squares overflow are refused.
     """
     xa, ya = _as_pair(x, y)
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    ssx = float(xc @ xc)
-    ssy = float(yc @ yc)
+    with np.errstate(over="ignore"):
+        xc = xa - xa.mean()
+        yc = ya - ya.mean()
+        ssx = float(xc @ xc)
+        ssy = float(yc @ yc)
+    if not (math.isfinite(ssx) and math.isfinite(ssy)):
+        raise DataIntegrityError("correlation input is too large: a sum of squares overflows")
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateInputError("correlation is undefined for a constant input")
     prod = ssx * ssy

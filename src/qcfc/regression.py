@@ -59,6 +59,13 @@ def _validated_matrix(values, what: str, min_rows: int) -> np.ndarray:
     return arr
 
 
+def _validated_labels(labels, n: int, what: str) -> tuple[str, ...]:
+    labels = tuple(str(lab) for lab in labels)
+    if len(labels) != n:
+        raise DimensionError(f"{what} needs {n} labels, got {len(labels)}")
+    return labels
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """One block of nuisance regressors: n_timepoints rows by k labeled columns.
@@ -73,11 +80,7 @@ class DesignMatrix:
 
     def __post_init__(self):
         arr = _validated_matrix(self.values, "design matrix", min_rows=2)
-        labels = tuple(str(lab) for lab in self.column_labels)
-        if len(labels) != arr.shape[1]:
-            raise DimensionError(
-                f"design matrix has {arr.shape[1]} columns but {len(labels)} labels"
-            )
+        labels = _validated_labels(self.column_labels, arr.shape[1], "design matrix")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "column_labels", labels)
 
@@ -105,11 +108,7 @@ class SignalMatrix:
         arr = _validated_matrix(self.values, "signal matrix", min_rows=1)
         labels = self.column_labels
         if labels is not None:
-            labels = tuple(str(lab) for lab in labels)
-            if len(labels) != arr.shape[1]:
-                raise DimensionError(
-                    f"signal matrix has {arr.shape[1]} columns but {len(labels)} labels"
-                )
+            labels = _validated_labels(labels, arr.shape[1], "signal matrix")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "column_labels", labels)
 

@@ -10,9 +10,11 @@ in the same directory, are synced to disk and renamed into place, so a
 failed run never leaves a partial file and two runs never share a temporary
 file; a failed write removes its temporary file.
 JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
-reruns are byte-identical. Every file is read and written as UTF-8. A file
-that cannot be opened or holds an invalid UTF-8 byte raises FileFormatError,
-a malformed file (exit code 4 in the CLI, 2 for the `phantom` config).
+reruns are byte-identical on the same CPU with the same BLAS thread count
+(matrix products may round differently under another). Every file is read
+and written as UTF-8. A file that cannot be opened or holds an invalid UTF-8
+byte raises FileFormatError, a malformed file (exit code 4 in the CLI, 2 for
+the `phantom` config).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, QcfcError
 from .metrics import Parcellation
 from .pipelines import HMP_PARAM_LABELS, HeadMotion
 
@@ -137,7 +139,7 @@ def read_motion_csv(path: Path) -> HeadMotion:
         )
     try:
         return HeadMotion(values)
-    except Exception as e:
+    except QcfcError as e:
         raise FileFormatError(f"{path}: {e}") from e
 
 
@@ -166,7 +168,7 @@ def read_parcellation_csv(path: Path) -> Parcellation:
             raise FileFormatError(f"{path}: row {i + 2}: {e}") from e
     try:
         return Parcellation(tuple(labels), np.array(coords))
-    except Exception as e:
+    except QcfcError as e:
         raise FileFormatError(f"{path}: {e}") from e
 
 

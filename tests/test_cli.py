@@ -436,6 +436,29 @@ class TestQcCommand:
         )
         assert rc == 2
 
+    def test_unknown_run_info_pipeline_exits_2(self, cohort_dir, corrected_dir, tmp_path, capsys):
+        corr = tmp_path / "corr"
+        shutil.copytree(corrected_dir, corr)
+        info = json.loads((corr / "run_info.json").read_text())
+        info["pipeline"] = "bogus"
+        (corr / "run_info.json").write_text(json.dumps(info))
+        report = tmp_path / "qc.json"
+        rc = main(
+            [
+                "qc",
+                "--manifest",
+                str(cohort_dir / "manifest.json"),
+                "--corrected",
+                str(corr),
+                "--report",
+                str(report),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "baseline, seq-hmp-aroma-physio" in err
+        assert not report.exists()
+
     def test_missing_corrected_subject_exits_4(self, cohort_dir, corrected_dir, tmp_path, capsys):
         corr = tmp_path / "corr"
         shutil.copytree(corrected_dir, corr)
@@ -638,3 +661,62 @@ class TestReportCommand:
 
     def test_missing_report_exits_4(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 4
+
+
+class TestRecordBytes:
+    """The exact layout of the JSON records a 3-subject chain writes."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("records")
+        cfg = write_config(root / "c.json", n_subjects=3, n_rois=4, n_timepoints=24, seed=5)
+        cohort, corrected, report = root / "cohort", root / "corrected", root / "qc.json"
+        manifest = str(cohort / "manifest.json")
+        assert main(["phantom", "--config", str(cfg), "--out", str(cohort)]) == 0
+        argv = ["--manifest", manifest]
+        assert main(["correct", *argv, "--pipeline", "concat", "--out", str(corrected)]) == 0
+        assert main(["qc", *argv, "--corrected", str(corrected), "--report", str(report)]) == 0
+        return cohort, corrected, report
+
+    def test_manifest_bytes(self, chain):
+        subjects = ",\n".join(
+            "    {\n"
+            f'      "aroma": "sub-00{k}/aroma.csv",\n'
+            f'      "motion": "sub-00{k}/motion.csv",\n'
+            f'      "physio": "sub-00{k}/physio.csv",\n'
+            f'      "subject_id": "sub-00{k}",\n'
+            f'      "ts": "sub-00{k}/ts.csv"\n'
+            "    }"
+            for k in range(3)
+        )
+        expected = (
+            "{\n"
+            '  "parcellation_path": "parcellation.csv",\n'
+            '  "schema_version": "1",\n'
+            '  "subjects": [\n'
+            f"{subjects}\n"
+            "  ]\n"
+            "}\n"
+        )
+        assert (chain[0] / "manifest.json").read_text() == expected
+
+    def test_run_info_bytes(self, chain):
+        expected = '{\n  "n_subjects": 3,\n  "pipeline": "concat",\n  "schema_version": "1"\n}\n'
+        assert (chain[1] / "run_info.json").read_text() == expected
+
+    def test_report_keys_and_layout(self, chain):
+        text = chain[2].read_text()
+        report = json.loads(text)
+        assert sorted(report) == [
+            "dist_dependence_p",
+            "dist_dependence_rho",
+            "histogram",
+            "median_abs_qcfc",
+            "n_edges",
+            "n_subjects",
+            "pipeline",
+            "schema_version",
+            "undefined_edge_count",
+        ]
+        assert report["schema_version"] == "1" and report["pipeline"] == "concat"
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"

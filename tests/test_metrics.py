@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from qcfc import (
     DataIntegrityError,
     DegenerateInputError,
+    DesignMatrix,
     DimensionError,
     FcMatrix,
     HeadMotion,
     Parcellation,
+    RegressorSource,
     SchemaError,
     SignalMatrix,
     distance_dependence,
@@ -130,6 +132,14 @@ class TestPearson:
         x = np.array([1e300, 2e300, 3e300, 4e300]) / 1e300
         r, _ = pearson(x, 2.0 * x)
         assert -1.0 <= r <= 1.0
+
+    @pytest.mark.parametrize(
+        "x", [[1e308, -1e308, 1e308, 5.0], [1e308, 1e308, 1e308, 5.0]], ids=["squares", "mean"]
+    )
+    def test_overflowing_sums_rejected_without_warning(self, x):
+        # Warnings are errors in this suite, so an overflow warning fails here too.
+        with pytest.raises(DataIntegrityError, match="overflows"):
+            pearson(x, x)
 
 
 class TestSpearman:
@@ -254,6 +264,23 @@ class TestEdgeLengths:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(SchemaError):
             Parcellation(("a", "a"), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda lab: DesignMatrix(np.zeros((4, 3)), lab, RegressorSource.AROMA), "column_labels"),
+        (lambda lab: SignalMatrix(np.zeros((4, 3)), lab), "column_labels"),
+        (lambda lab: FcMatrix(np.eye(3), lab), "roi_labels"),
+        (lambda lab: Parcellation(lab, np.zeros((3, 3))), "roi_labels"),
+    ],
+    ids=["design", "signal", "fc", "parcellation"],
+)
+def test_labels_are_strings_one_per_column(build, field):
+    assert getattr(build([1, 2, 3]), field) == ("1", "2", "3")
+    for labels in (("a", "b"), ("a", "b", "c", "d")):
+        with pytest.raises(DimensionError, match="needs 3 labels"):
+            build(labels)
 
 
 def build_fc(values, labels):

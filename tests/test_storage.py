@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import qcfc.storage as storage
 from qcfc import FileFormatError, HeadMotion, Parcellation
+from qcfc.pipelines import HMP_PARAM_LABELS
 from qcfc.storage import (
     PARCELLATION_HEADER,
     atomic_write_text,
@@ -205,6 +207,27 @@ class TestParcellationCsv:
         path.write_text("roi,x_mm,y_mm,z_mm\nroi_a,0,0,0\nroi_a,1,1,1\n")
         with pytest.raises(FileFormatError):
             read_parcellation_csv(path)
+
+
+@pytest.mark.parametrize(
+    "reader, value_type, text",
+    [
+        (read_motion_csv, "HeadMotion", ",".join(HMP_PARAM_LABELS) + "\n" + "0,0,0,0,0,0\n" * 2),
+        (read_parcellation_csv, "Parcellation", "roi,x_mm,y_mm,z_mm\na,0,0,0\nb,1,1,1\n"),
+    ],
+    ids=["motion", "parcellation"],
+)
+def test_only_a_refused_value_is_a_malformed_file(monkeypatch, tmp_path, reader, value_type, text):
+    """A failure that is not a validation error is not reported as a malformed file."""
+
+    def out_of_memory(*args):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(storage, value_type, out_of_memory)
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(MemoryError):
+        reader(path)
 
 
 class TestJson:
