@@ -29,18 +29,13 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference
 
 def compare(config: str, work: Path, bins: int) -> None:
     cohort = cmd_phantom(config, work / "cohort")
-    # Keep only what scoring needs: the truth and injected contamination
-    # would otherwise stay alive through every pipeline.
-    bundles, parcellation = cohort.bundles, cohort.parcellation
-    del cohort
-
     reports = [work / f"qc_{RAW_PIPELINE_NAME}.json"]
-    raw = ((b.subject_id, b.motion, b.ts) for b in bundles)
-    score_cohort(RAW_PIPELINE_NAME, parcellation, raw, reports[0], bins)
+    raw = ((b.subject_id, b.motion, b.ts) for b in cohort.bundles)
+    score_cohort(RAW_PIPELINE_NAME, cohort.parcellation, raw, reports[0], bins)
     for kind in PipelineKind:
-        corrected = correct_cohort(bundles, kind, work / f"corrected_{kind.value}")
+        corrected = correct_cohort(cohort.bundles, kind, work / f"corrected_{kind.value}")
         reports.append(work / f"qc_{kind.value}.json")
-        score_cohort(kind.value, parcellation, corrected, reports[-1], bins)
+        score_cohort(kind.value, cohort.parcellation, corrected, reports[-1], bins)
 
     print()
     cmd_report([str(r) for r in reports], str(work / "comparison.csv"))

@@ -47,8 +47,9 @@ from .phantom import PhantomConfig, PhantomCohort, generate_cohort
 from .pipelines import HeadMotion, PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
 from .regression import DesignMatrix, RegressorSource, SignalMatrix
 from .storage import (
-    format_float,
     atomic_write_text,
+    csv_text,
+    format_float,
     read_json,
     read_matrix_csv,
     read_motion_csv,
@@ -148,10 +149,10 @@ class CohortManifest:
             if missing:
                 raise ValidationError(f"manifest subject {k} is missing {missing[0]!r}")
             sid = str(entry["subject_id"])
-            if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+            if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
                 raise ValidationError(
                     f"manifest subject {k}: subject_id {sid!r} must be a single "
-                    "path component (no '/' or '\\', not empty, '.' or '..')"
+                    "path component (no '/', '\\' or NUL, not empty, '.' or '..')"
                 )
             if sid in seen:
                 raise ValidationError(f"duplicate subject_id {sid!r} in manifest")
@@ -362,9 +363,8 @@ def score_cohort(
     report_path.parent.mkdir(parents=True, exist_ok=True)
     _write_record(report_path, asdict(run_report))
     hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
-    lines = ["bin_center,count"]
-    lines.extend(f"{format_float(c)},{k}" for c, k in run_report.histogram)
-    atomic_write_text(hist_path, "\n".join(lines) + "\n")
+    hist_rows = [(format_float(c), k) for c, k in run_report.histogram]
+    atomic_write_text(hist_path, csv_text([("bin_center", "count"), *hist_rows]))
     print(f"pipeline: {pipeline_name}")
     print(f"median_abs_qcfc: {run_report.median_abs_qcfc:.6f}")
     print(f"dist_dependence_rho: {run_report.dist_dependence_rho:.6f}")
@@ -404,24 +404,27 @@ def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
         f"{'dist_dep_rho':>12}  {'dist_dep_p':>12}  {'undefined':>9}"
     )
     print(header)
-    lines = ["pipeline,n_subjects,median_abs_qcfc,dist_dependence_rho,dist_dependence_p,undefined_edge_count"]
+    rows = [
+        ("pipeline", "n_subjects", "median_abs_qcfc", "dist_dependence_rho",
+         "dist_dependence_p", "undefined_edge_count")
+    ]
     for r in reports:
         print(
             f"{r.pipeline:<{name_width}}  {r.median_abs_qcfc:>15.6f}  "
             f"{r.dist_dependence_rho:>12.6f}  {r.dist_dependence_p:>12.6f}  "
             f"{r.undefined_edge_count:>9d}"
         )
-        lines.append(
-            f"{r.pipeline},{r.n_subjects},{format_float(r.median_abs_qcfc)},"
-            f"{format_float(r.dist_dependence_rho)},{format_float(r.dist_dependence_p)},"
-            f"{r.undefined_edge_count}"
+        rows.append(
+            (r.pipeline, r.n_subjects, format_float(r.median_abs_qcfc),
+             format_float(r.dist_dependence_rho), format_float(r.dist_dependence_p),
+             r.undefined_edge_count)
         )
-    csv_text = "\n".join(lines) + "\n"
+    text = csv_text(rows)
     if csv_path is None:
         print()
-        print(csv_text, end="")
+        print(text, end="")
     else:
-        atomic_write_text(Path(csv_path), csv_text)
+        atomic_write_text(Path(csv_path), text)
         print(f"comparison csv: {csv_path}")
 
 

@@ -126,7 +126,6 @@ class QcFcReport:
     median_abs_qcfc: float
     n_subjects: int
     undefined_edge_count: int = 0
-    roi_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         r_vals = np.array(self.edge_qcfc, dtype=float)
@@ -319,7 +318,6 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
         median_abs_qcfc=median_abs,
         n_subjects=s,
         undefined_edge_count=int((~defined).sum()),
-        roi_labels=labels,
     )
 
 

@@ -14,8 +14,13 @@ Artifact coupling decays exponentially with distance from a handful of
 source locations, which inflates connectivity between nearby ROIs for
 high-motion subjects and produces a distance-dependent QC-FC profile at
 baseline. All random draws happen in a fixed order independent of
-artifact_gain, so regenerating with a different gain changes only the
-injected amplitude, not the realization.
+artifact_gain, so regenerating with another gain changes only the injected
+artifact: motion, components, physio, parcellation and truth stay
+bit-identical, and a subject's timeseries at gain 1 minus its timeseries
+at gain 0 is its artifact, up to rounding. A cohort keeps only its bundles,
+parcellation and truth. Each subject's motion amplitude can be read back
+from its motion: every translation column is a unit-std trace scaled by
+it, so the column's population std is the amplitude.
 """
 
 from __future__ import annotations
@@ -138,18 +143,16 @@ class PhantomConfig:
 
 @dataclass(frozen=True)
 class PhantomCohort:
-    """Generated bundles plus the ground truth they were built from.
+    """Generated bundles plus the parcellation and ground truth they were built from.
 
-    `injected_contamination` keeps, per subject, the exact n x r nuisance
-    timeseries that was added to the neural signal; tests use it to verify
-    the contamination lies in the span of the subject's nuisance blocks.
+    Nothing else is kept: a subject's injected artifact is its timeseries at
+    artifact_gain 1 minus its timeseries at gain 0, and its motion amplitude
+    is the population std of any translation column (see the module docstring).
     """
 
     bundles: tuple[SubjectBundle, ...]
     parcellation: Parcellation
     truth_fc: FcMatrix
-    per_subject_motion_amplitude: np.ndarray
-    injected_contamination: tuple[np.ndarray, ...]
 
 
 def _standardize(arr: np.ndarray) -> np.ndarray:
@@ -226,13 +229,10 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
 
     low, high = cfg.motion_amplitude_range
     bundles = []
-    amplitudes = np.zeros(cfg.n_subjects)
-    contaminations = []
     aroma_labels = tuple(f"comp_{i:02d}" for i in range(p))
 
     for j in range(cfg.n_subjects):
         amp = rng.uniform(low, high)
-        amplitudes[j] = amp
 
         trace = _smooth_noise(rng, n, 6)
         motion_values = np.hstack(
@@ -270,8 +270,8 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
         physio_loadings = rng.standard_normal((r, 2)) * _PHYSIO_LOADING_STD
         physio_leak = physio_values @ physio_loadings.T
 
-        contamination = artifact + physio_leak
-        ts = SignalMatrix(neural + contamination, roi_labels)
+        # Another grouping of this sum rounds differently and changes `ts`.
+        ts = SignalMatrix(neural + (artifact + physio_leak), roi_labels)
 
         bundles.append(
             SubjectBundle(
@@ -282,16 +282,8 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
                 physio=physio,
             )
         )
-        contaminations.append(contamination)
 
-    amplitudes.setflags(write=False)
-    return PhantomCohort(
-        bundles=tuple(bundles),
-        parcellation=parcellation,
-        truth_fc=truth_fc,
-        per_subject_motion_amplitude=amplitudes,
-        injected_contamination=tuple(contaminations),
-    )
+    return PhantomCohort(tuple(bundles), parcellation, truth_fc)
 
 
 def truth_error(corrected_fc: FcMatrix, truth_fc: FcMatrix) -> float:

@@ -35,6 +35,7 @@ from .pipelines import HMP_PARAM_LABELS, HeadMotion
 __all__ = [
     "format_float",
     "atomic_write_text",
+    "csv_text",
     "write_matrix_csv",
     "read_matrix_csv",
     "write_motion_csv",
@@ -67,7 +68,8 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(rows) -> str:
+def csv_text(rows) -> str:
+    """Rows as CSV text; a field holding a comma, double quote or line feed is quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -98,7 +100,7 @@ def write_matrix_csv(path: Path, values: np.ndarray, labels) -> None:
     # float64, and no such cell needs `csv` quoting; only labels can.
     row_format = ",".join(["%.17g"] * len(labels)) + "\n"
     body = "".join([row_format % tuple(row) for row in values.tolist()])
-    atomic_write_text(path, _csv_text([labels]) + body)
+    atomic_write_text(path, csv_text([labels]) + body)
 
 
 def read_matrix_csv(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -147,7 +149,7 @@ def write_parcellation_csv(path: Path, parc: Parcellation) -> None:
     rows = [list(PARCELLATION_HEADER)]
     for label, (x, y, z) in zip(parc.roi_labels, parc.centroids):
         rows.append([label, format_float(x), format_float(y), format_float(z)])
-    atomic_write_text(path, _csv_text(rows))
+    atomic_write_text(path, csv_text(rows))
 
 
 def read_parcellation_csv(path: Path) -> Parcellation:

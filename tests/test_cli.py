@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shutil
@@ -238,7 +239,7 @@ class TestCorrectCommand:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("sid", ["../../escaped", "a/b", "a\\b", "", ".", ".."])
+    @pytest.mark.parametrize("sid", ["../../escaped", "a/b", "a\\b", "", ".", "..", "a\x00b"])
     def test_subject_id_must_be_one_path_component(self, cohort_dir, tmp_path, capsys, sid):
         cohort = tmp_path / "cohort"
         shutil.copytree(cohort_dir, cohort)
@@ -653,6 +654,18 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert self.CSV_HEADER in out
         assert out.count("raw,5,") == 1
+
+    def test_name_with_comma_is_quoted(self, report_paths, tmp_path):
+        report = json.loads(report_paths[1].read_text())
+        report["pipeline"] = "concat, v2"
+        renamed = tmp_path / "qc_renamed.json"
+        renamed.write_text(json.dumps(report))
+        csv_path = tmp_path / "comparison.csv"
+        assert main(["report", str(report_paths[0]), str(renamed), "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert rows[2][0] == "concat, v2"
 
     def test_invalid_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -126,11 +126,12 @@ class TestCohortShape:
         assert first.physio.values.shape == (cfg.n_timepoints, 2)
 
     def test_amplitudes_within_configured_range(self, small_cohort):
+        # Each translation column is a unit-std trace scaled by the amplitude.
         low, high = SMALL_CONFIG.motion_amplitude_range
-        amps = small_cohort.per_subject_motion_amplitude
-        assert amps.shape == (SMALL_CONFIG.n_subjects,)
-        assert amps.min() >= low
-        assert amps.max() <= high
+        for bundle in small_cohort.bundles:
+            stds = bundle.motion.values[:, :3].std(axis=0, ddof=0)
+            np.testing.assert_allclose(stds, stds[0], rtol=1e-12)
+            assert low <= stds[0] <= high
 
     def test_centroids_inside_sphere(self, small_cohort):
         radii = np.linalg.norm(small_cohort.parcellation.centroids, axis=1)
@@ -186,10 +187,13 @@ class TestDeterminism:
 
 class TestContamination:
     def test_contamination_lies_in_nuisance_span(self, small_cohort):
+        # The draws do not depend on the gain, so the gain-1 minus gain-0
+        # timeseries is the injected artifact, up to rounding.
+        assert SMALL_CONFIG.artifact_gain == 1.0
+        clean = generate_cohort(dataclasses.replace(SMALL_CONFIG, artifact_gain=0.0))
         worst = 0.0
-        for bundle, injected in zip(
-            small_cohort.bundles, small_cohort.injected_contamination
-        ):
+        for bundle, clean_bundle in zip(small_cohort.bundles, clean.bundles):
+            injected = bundle.ts.values - clean_bundle.ts.values
             blocks = build_blocks(bundle)
             design = concat_designs(
                 [
@@ -202,6 +206,27 @@ class TestContamination:
             ratio = np.linalg.norm(leftover.values) / np.linalg.norm(injected)
             worst = max(worst, ratio)
         assert worst <= 1e-8
+
+    def test_gain_changes_only_the_removable_artifact(self):
+        cohorts = [
+            generate_cohort(dataclasses.replace(SMALL_CONFIG, artifact_gain=gain))
+            for gain in (0.0, 1.0, 2.5)
+        ]
+        concat = PipelineSpec(PipelineKind.CONCAT_ALL)
+        first = cohorts[0]
+        worst = 0.0
+        for other in cohorts[1:]:
+            assert first.parcellation.roi_labels == other.parcellation.roi_labels
+            assert np.array_equal(first.parcellation.centroids, other.parcellation.centroids)
+            assert np.array_equal(first.truth_fc.values, other.truth_fc.values)
+            for a, b in zip(first.bundles, other.bundles):
+                assert np.array_equal(a.motion.values, b.motion.values)
+                assert np.array_equal(a.aroma.values, b.aroma.values)
+                assert np.array_equal(a.physio.values, b.physio.values)
+                clean_a = run_pipeline(a, concat).values
+                clean_b = run_pipeline(b, concat).values
+                worst = max(worst, np.linalg.norm(clean_b - clean_a) / np.linalg.norm(clean_a))
+        assert worst <= 1e-10
 
     def test_decoupled_components_stay_clean(self):
         cfg = dataclasses.replace(SMALL_CONFIG, aroma_hmp_mixing=0.0)
