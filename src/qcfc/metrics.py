@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
 from .errors import (
     DataIntegrityError,
@@ -228,11 +227,26 @@ def pearson(x, y) -> tuple[float, float]:
     return r, float(_t_pvalues(np.array([r]), xa.size)[0])
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array; tied values share the mean of their positions.
+
+    A tie group over sorted positions start..end (0-based, end exclusive)
+    gets rank (start + end + 1) / 2, an exact half-integer.
+    """
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    new_group = np.r_[True, sorted_a[1:] != sorted_a[:-1]]
+    bounds = np.r_[np.flatnonzero(new_group), a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = ((bounds[:-1] + bounds[1:] + 1) / 2.0)[np.cumsum(new_group) - 1]
+    return ranks
+
+
 def spearman(x, y) -> tuple[float, float]:
     """Rank correlation: Pearson on average ranks, ties get the mean rank."""
     xa, ya = _as_pair(x, y)
-    rx = scipy.stats.rankdata(xa, method="average")
-    ry = scipy.stats.rankdata(ya, method="average")
+    rx = _average_ranks(xa)
+    ry = _average_ranks(ya)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         raise DegenerateInputError("rank correlation is undefined for a constant input")
     return pearson(rx, ry)

@@ -36,6 +36,7 @@ from .regression import (
     DesignMatrix,
     RegressorSource,
     SignalMatrix,
+    _one_blas_thread,
     demean_columns,
     residualize_columns,
 )
@@ -204,86 +205,87 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
     ingredients, source mixtures, physio. Nothing conditions on
     artifact_gain, which only scales the injected artifact at the end.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_timepoints
-    r = cfg.n_rois
-    p = cfg.n_aroma_components
-    mixing = cfg.aroma_hmp_mixing
+    with _one_blas_thread():
+        rng = np.random.default_rng(cfg.seed)
+        n = cfg.n_timepoints
+        r = cfg.n_rois
+        p = cfg.n_aroma_components
+        mixing = cfg.aroma_hmp_mixing
 
-    directions = rng.standard_normal((r, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = _SPHERE_RADIUS_MM * np.cbrt(rng.uniform(size=r))
-    centroids = directions * radii[:, None]
-    roi_labels = default_roi_labels(r)
-    parcellation = Parcellation(roi_labels, centroids)
+        directions = rng.standard_normal((r, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = _SPHERE_RADIUS_MM * np.cbrt(rng.uniform(size=r))
+        centroids = directions * radii[:, None]
+        roi_labels = default_roi_labels(r)
+        parcellation = Parcellation(roi_labels, centroids)
 
-    sigma, chol = _truth_structure(rng, r)
-    truth_fc = FcMatrix(sigma, roi_labels)
+        sigma, chol = _truth_structure(rng, r)
+        truth_fc = FcMatrix(sigma, roi_labels)
 
-    n_sources = max(2, r // 25)
-    source_idx = rng.choice(r, size=n_sources, replace=False)
-    dist_to_source = np.linalg.norm(
-        centroids[:, None, :] - centroids[source_idx][None, :, :], axis=2
-    )
-    coupling = np.exp(-dist_to_source / cfg.artifact_length_scale)
-
-    low, high = cfg.motion_amplitude_range
-    bundles = []
-    aroma_labels = tuple(f"comp_{i:02d}" for i in range(p))
-
-    for j in range(cfg.n_subjects):
-        amp = rng.uniform(low, high)
-
-        trace = _smooth_noise(rng, n, 6)
-        motion_values = np.hstack(
-            [trace[:, :3] * amp, trace[:, 3:] * (amp * _ROTATION_SCALE)]
+        n_sources = max(2, r // 25)
+        source_idx = rng.choice(r, size=n_sources, replace=False)
+        dist_to_source = np.linalg.norm(
+            centroids[:, None, :] - centroids[source_idx][None, :, :], axis=2
         )
-        motion = HeadMotion(motion_values)
-        hmp_centered = demean_columns(expand_hmp24(motion).values)
+        coupling = np.exp(-dist_to_source / cfg.artifact_length_scale)
 
-        neural = rng.standard_normal((n, r)) @ chol.T
+        low, high = cfg.motion_amplitude_range
+        bundles = []
+        aroma_labels = tuple(f"comp_{i:02d}" for i in range(p))
 
-        v_mix = rng.standard_normal((24, p))
-        noise = rng.standard_normal((n, p))
-        if p > 0:
-            motion_derived = _standardize(hmp_centered @ v_mix)
-            independent = _standardize(
-                residualize_columns(demean_columns(noise), hmp_centered)
+        for j in range(cfg.n_subjects):
+            amp = rng.uniform(low, high)
+
+            trace = _smooth_noise(rng, n, 6)
+            motion_values = np.hstack(
+                [trace[:, :3] * amp, trace[:, 3:] * (amp * _ROTATION_SCALE)]
             )
-            aroma_values = _standardize(
-                mixing * motion_derived + (1.0 - mixing) * independent
+            motion = HeadMotion(motion_values)
+            hmp_centered = demean_columns(expand_hmp24(motion).values)
+
+            neural = rng.standard_normal((n, r)) @ chol.T
+
+            v_mix = rng.standard_normal((24, p))
+            noise = rng.standard_normal((n, p))
+            if p > 0:
+                motion_derived = _standardize(hmp_centered @ v_mix)
+                independent = _standardize(
+                    residualize_columns(demean_columns(noise), hmp_centered)
+                )
+                aroma_values = _standardize(
+                    mixing * motion_derived + (1.0 - mixing) * independent
+                )
+            else:
+                aroma_values = np.zeros((n, 0))
+            aroma = DesignMatrix(aroma_values, aroma_labels, RegressorSource.AROMA)
+
+            alpha = rng.standard_normal((24, n_sources))
+            beta = rng.standard_normal((p, n_sources))
+            source_ts = _standardize(hmp_centered @ alpha)
+            if p > 0:
+                source_ts = _standardize(source_ts + _standardize(aroma_values @ beta))
+
+            artifact = (cfg.artifact_gain * amp) * (source_ts @ coupling.T)
+
+            physio_values = _smooth_noise(rng, n, 2)
+            physio = DesignMatrix(physio_values, PHYSIO_LABELS, RegressorSource.PHYSIO)
+            physio_loadings = rng.standard_normal((r, 2)) * _PHYSIO_LOADING_STD
+            physio_leak = physio_values @ physio_loadings.T
+
+            # Another grouping of this sum rounds differently and changes `ts`.
+            ts = SignalMatrix(neural + (artifact + physio_leak), roi_labels)
+
+            bundles.append(
+                SubjectBundle(
+                    subject_id=f"sub-{j:03d}",
+                    ts=ts,
+                    motion=motion,
+                    aroma=aroma,
+                    physio=physio,
+                )
             )
-        else:
-            aroma_values = np.zeros((n, 0))
-        aroma = DesignMatrix(aroma_values, aroma_labels, RegressorSource.AROMA)
 
-        alpha = rng.standard_normal((24, n_sources))
-        beta = rng.standard_normal((p, n_sources))
-        source_ts = _standardize(hmp_centered @ alpha)
-        if p > 0:
-            source_ts = _standardize(source_ts + _standardize(aroma_values @ beta))
-
-        artifact = (cfg.artifact_gain * amp) * (source_ts @ coupling.T)
-
-        physio_values = _smooth_noise(rng, n, 2)
-        physio = DesignMatrix(physio_values, PHYSIO_LABELS, RegressorSource.PHYSIO)
-        physio_loadings = rng.standard_normal((r, 2)) * _PHYSIO_LOADING_STD
-        physio_leak = physio_values @ physio_loadings.T
-
-        # Another grouping of this sum rounds differently and changes `ts`.
-        ts = SignalMatrix(neural + (artifact + physio_leak), roi_labels)
-
-        bundles.append(
-            SubjectBundle(
-                subject_id=f"sub-{j:03d}",
-                ts=ts,
-                motion=motion,
-                aroma=aroma,
-                physio=physio,
-            )
-        )
-
-    return PhantomCohort(tuple(bundles), parcellation, truth_fc)
+        return PhantomCohort(tuple(bundles), parcellation, truth_fc)
 
 
 def truth_error(corrected_fc: FcMatrix, truth_fc: FcMatrix) -> float:

@@ -20,6 +20,7 @@ from .regression import (
     DesignMatrix,
     RegressorSource,
     SignalMatrix,
+    _one_blas_thread,
     _validated_matrix,
     concat_designs,
     ols_residualize,
@@ -183,11 +184,12 @@ def run_pipeline(bundle: SubjectBundle, spec: PipelineSpec) -> SignalMatrix:
     `sequential_residualize` would demean once more and change the last
     bits of the output.
     """
-    blocks = build_blocks(bundle)
-    designs = [
-        concat_designs([blocks[source] for source in group])
-        for group in PIPELINE_STAGES[spec.kind]
-    ]
-    if len(designs) == 1:
-        return ols_residualize(bundle.ts, designs[0])
-    return sequential_residualize(bundle.ts, designs)
+    with _one_blas_thread():
+        blocks = build_blocks(bundle)
+        designs = [
+            concat_designs([blocks[source] for source in group])
+            for group in PIPELINE_STAGES[spec.kind]
+        ]
+        if len(designs) == 1:
+            return ols_residualize(bundle.ts, designs[0])
+        return sequential_residualize(bundle.ts, designs)

@@ -15,8 +15,11 @@ behavior; use a single concatenated design when joint removal is wanted.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass, replace
 from enum import Enum
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +39,63 @@ __all__ = [
     "sequential_residualize",
     "max_abs_correlation",
 ]
+
+
+# Thread-count functions of a wheel's bundled OpenBLAS: current wheels use
+# the `scipy_openblas_` prefix, older ones plain `openblas_`; NumPy's
+# 64-bit-integer build adds a `64_` suffix.
+_BLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+)
+
+
+def _blas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS in `numpy.libs` and `scipy.libs`.
+
+    A NumPy or SciPy without such a library (a system or conda BLAS, another
+    platform's wheel layout) contributes nothing.
+    """
+    controls = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for so in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(so))
+            except OSError:
+                continue
+            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls
+
+
+_BLAS_THREAD_CONTROLS = _blas_thread_controls()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's counts.
+
+    A matrix product may round differently on another thread count, so one
+    thread makes the results independent of it; at qcfc's matrix sizes one
+    thread is also the faster. Without a thread control this does nothing.
+    The counts are process-wide, so two threads must not be inside at once.
+    """
+    controls = _BLAS_THREAD_CONTROLS
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_threads in controls:
+            set_threads(1)
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 class RegressorSource(Enum):

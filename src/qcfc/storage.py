@@ -5,16 +5,18 @@ motion parameters; rows = timepoints). Floats are written with 17
 significant digits so a write/read round trip is exact. A matrix is
 formatted one row at a time through a single `%.17g,...,%.17g` row format;
 only the header row goes through `csv` quoting, since labels may contain
-commas, quotes or newlines. Writes go to a uniquely named temporary file
-in the same directory, are synced to disk and renamed into place, so a
-failed run never leaves a partial file and two runs never share a temporary
-file; a failed write removes its temporary file.
+commas, quotes, line feeds or carriage returns. Writes go to a uniquely
+named temporary file in the same directory, are synced to disk and renamed
+into place, so a failed run never leaves a partial file and two runs never
+share a temporary file; a failed write removes its temporary file.
 JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
-reruns are byte-identical on the same CPU with the same BLAS thread count
-(matrix products may round differently under another). Every file is read
-and written as UTF-8. A file that cannot be opened or holds an invalid UTF-8
-byte raises FileFormatError, a malformed file (exit code 4 in the CLI, 2 for
-the `phantom` config).
+reruns are byte-identical on the same CPU with the same BLAS thread count.
+Cohort and corrected files do not depend on that count (generation and the
+pipelines run on one OpenBLAS thread); QC reports and `comparison.csv`
+still can, since the connectivity products keep the caller's count. Every
+file is read and written as UTF-8. A file that cannot be opened or holds an
+invalid UTF-8 byte raises FileFormatError, a malformed file (exit code 4 in
+the CLI, 2 for the `phantom` config).
 """
 
 from __future__ import annotations
@@ -69,11 +71,21 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def csv_text(rows) -> str:
-    """Rows as CSV text; a field holding a comma, double quote or line feed is quoted."""
+    """Rows as CSV text, each ended by a line feed.
+
+    A field holding a comma, double quote, line feed or carriage return is
+    quoted: `csv.writer` quotes any character of its line terminator, so it
+    ends each row with CR LF, cut back here to LF.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def _read_text(path: Path) -> str:

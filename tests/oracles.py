@@ -5,11 +5,9 @@ residuals via normal equations with an SVD pseudo-inverse, correlation from
 the definitional covariance formula, p-values by numerically integrating a
 hand-written t density, ranks by explicit tie-group averaging, the
 edge-level metrics as plain loops over edges, and matrix CSV text cell by
-cell through the `csv` module.
+cell from a written-out quoting rule.
 """
 
-import csv
-import io
 import math
 
 import numpy as np
@@ -133,12 +131,19 @@ def oracle_distance_dependence(edge_r, lengths):
     return oracle_spearman(edge_r[keep], lengths[keep])
 
 
+def oracle_csv_field(text):
+    """One CSV field: quoted, inner quotes doubled, iff it holds , " LF or CR."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def oracle_matrix_csv(values, labels):
-    """Matrix CSV text as the writer has always produced it: every cell through
-    `format(x, ".17g")` and every row, header included, through `csv.writer`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(labels))
+    """Matrix CSV text cell by cell: the header through `oracle_csv_field`
+    (a lone empty label is written `""`, as `csv.writer` does, so the row
+    is not blank) and every value through `format(x, ".17g")`."""
+    labels = list(labels)
+    header = '""' if labels == [""] else ",".join(oracle_csv_field(lab) for lab in labels)
     rows = np.asarray(values, dtype=float)
-    writer.writerows([format(float(x), ".17g") for x in row] for row in rows)
-    return buf.getvalue()
+    lines = [header] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)

@@ -655,17 +655,27 @@ class TestReportCommand:
         assert self.CSV_HEADER in out
         assert out.count("raw,5,") == 1
 
-    def test_name_with_comma_is_quoted(self, report_paths, tmp_path):
+    @staticmethod
+    def comparison_rows_with_name(report_paths, tmp_path, name):
+        """`comparison.csv` rows for the raw report and one renamed to `name`."""
         report = json.loads(report_paths[1].read_text())
-        report["pipeline"] = "concat, v2"
+        report["pipeline"] = name
         renamed = tmp_path / "qc_renamed.json"
         renamed.write_text(json.dumps(report))
         csv_path = tmp_path / "comparison.csv"
         assert main(["report", str(report_paths[0]), str(renamed), "--csv", str(csv_path)]) == 0
         with open(csv_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            return list(csv.reader(fh))
+
+    def test_name_with_comma_is_quoted(self, report_paths, tmp_path):
+        rows = self.comparison_rows_with_name(report_paths, tmp_path, "concat, v2")
         assert [len(row) for row in rows] == [6, 6, 6]
         assert rows[2][0] == "concat, v2"
+
+    def test_name_with_carriage_return_stays_one_row(self, report_paths, tmp_path):
+        rows = self.comparison_rows_with_name(report_paths, tmp_path, "concat\rv2")
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert rows[2][0] == "concat\rv2"
 
     def test_invalid_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

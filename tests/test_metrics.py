@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from qcfc import (
     qcfc,
     spearman,
 )
-from qcfc.metrics import QcFcReport
+from qcfc.metrics import QcFcReport, _average_ranks
 
 from .oracles import (
     oracle_distance_dependence,
@@ -166,6 +170,33 @@ class TestSpearman:
         rng = np.random.default_rng(5)
         v = np.round(rng.standard_normal(40), 1)
         assert np.array_equal(oracle_ranks(v), scipy.stats.rankdata(v, method="average"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+            st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.25]), min_size=1, max_size=40),
+        )
+    )
+    def test_average_ranks_match_library_and_oracle_bit_for_bit(self, values):
+        import scipy.stats
+
+        v = np.array(values, dtype=float)
+        ranks = _average_ranks(v)
+        for reference in (scipy.stats.rankdata(v, method="average"), oracle_ranks(v)):
+            assert ranks.tobytes() == np.asarray(reference, dtype=float).tobytes()
+
+    def test_package_import_leaves_out_scipy_stats(self):
+        src = str(Path(sys.modules["qcfc"].__file__).parent.parent)
+        code = "import sys, qcfc.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateInputError):

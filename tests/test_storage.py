@@ -87,6 +87,14 @@ class TestMatrixRoundTrip:
         write_matrix_csv(tmp_path / "m.csv", np.ones((2, 2)), ["a", "b"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(LABEL_TEXT, min_size=1, max_size=5))
+    @example(["a\rb", "c"])
+    def test_any_labels_survive(self, tmp_path, labels):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.zeros((1, len(labels))), labels)
+        assert read_matrix_csv(path)[1] == tuple(labels)
+
     def test_byte_identical_rewrites(self, tmp_path):
         values = np.random.default_rng(0).standard_normal((4, 3))
         write_matrix_csv(tmp_path / "a.csv", values, ["x", "y", "z"])
@@ -101,6 +109,7 @@ class TestMatrixBytes:
     @given(labelled_matrices())
     @example((np.array(EDGE_FLOATS).reshape(1, -1), [str(i) for i in range(len(EDGE_FLOATS))]))
     @example((np.zeros((0, 3)), ["a,b", 'q"d', "line\nbreak"]))
+    @example((np.zeros((1, 2)), ["a\rb", "c\r\nd"]))
     @example((np.zeros((3, 0)), []))
     @example((np.array([[-0.0]]), [""]))
     def test_bytes_match_cell_by_cell_writer(self, tmp_path, matrix):
