@@ -16,6 +16,7 @@ from pathlib import Path
 
 from qcfc.cli import (
     RAW_PIPELINE_NAME,
+    _require_bins,
     cmd_phantom,
     cmd_report,
     correct_cohort,
@@ -28,6 +29,7 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference
 
 
 def compare(config: str, work: Path, bins: int) -> None:
+    _require_bins(bins)
     cohort = cmd_phantom(config, work / "cohort")
     reports = [work / f"qc_{RAW_PIPELINE_NAME}.json"]
     raw = ((b.subject_id, b.motion, b.ts) for b in cohort.bundles)

@@ -7,13 +7,15 @@ Four subcommands cover the full chain:
     qcfc qc --manifest cohort/manifest.json --corrected corr/ --report qc.json
     qcfc report qc_*.json --csv comparison.csv
 
-Exit codes: 0 success; 2 invalid config, unknown pipeline, schema
-mismatch, or not enough memory (for example a phantom config too large to
-generate); 3 filesystem failure (unwritable output); 4 malformed, missing
-or inconsistent data file; 5 degenerate input (too few subjects, constant
-mean FD). Data and JSON files are read as UTF-8; a file with an invalid byte
-is malformed (exit 4, or 2 for the `phantom` config). Paths inside a
-manifest are relative to the manifest's directory.
+Exit codes: 0 success; 2 invalid config (including one whose cohort
+overflows float64, or a histogram bin count below 1), unknown pipeline,
+schema mismatch, or not enough memory (for example a phantom config too
+large to generate); 3 filesystem failure (unwritable output); 4 malformed,
+missing or inconsistent data file (including finite motion whose
+regressors or mean-FD sums overflow float64); 5 degenerate input (too few
+subjects, constant mean FD). Data and JSON files are read as UTF-8; a file
+with an invalid byte is malformed (exit 4, or 2 for the `phantom` config).
+Paths inside a manifest are relative to the manifest's directory.
 """
 
 from __future__ import annotations
@@ -43,13 +45,18 @@ from .metrics import (
     mean_fd,
     qcfc,
 )
-from .phantom import PhantomConfig, PhantomCohort, generate_cohort
+from .phantom import (
+    PhantomCohort,
+    PhantomConfig,
+    _require_float,
+    _require_int,
+    generate_cohort,
+)
 from .pipelines import HeadMotion, PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
 from .regression import DesignMatrix, RegressorSource, SignalMatrix
 from .storage import (
     atomic_write_text,
     csv_text,
-    format_float,
     read_json,
     read_matrix_csv,
     read_motion_csv,
@@ -177,27 +184,41 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunReport":
+        """Read a report as JSON typed it: a string name, integer counts, finite numbers."""
         try:
+            if not isinstance(raw["pipeline"], str):
+                raise ValidationError(f"pipeline must be a string, got {raw['pipeline']!r}")
             return cls(
-                pipeline=str(raw["pipeline"]),
-                n_subjects=int(raw["n_subjects"]),
-                n_edges=int(raw["n_edges"]),
-                median_abs_qcfc=float(raw["median_abs_qcfc"]),
-                dist_dependence_rho=float(raw["dist_dependence_rho"]),
-                dist_dependence_p=float(raw["dist_dependence_p"]),
-                undefined_edge_count=int(raw["undefined_edge_count"]),
+                pipeline=raw["pipeline"],
+                n_subjects=_require_int(raw["n_subjects"], "n_subjects", 0),
+                n_edges=_require_int(raw["n_edges"], "n_edges", 0),
+                median_abs_qcfc=_require_float(raw["median_abs_qcfc"], "median_abs_qcfc"),
+                dist_dependence_rho=_require_float(
+                    raw["dist_dependence_rho"], "dist_dependence_rho"
+                ),
+                dist_dependence_p=_require_float(raw["dist_dependence_p"], "dist_dependence_p"),
+                undefined_edge_count=_require_int(
+                    raw["undefined_edge_count"], "undefined_edge_count", 0
+                ),
                 histogram=tuple(
-                    (float(center), int(count)) for center, count in raw["histogram"]
+                    (_require_float(center, "histogram bin center"),
+                     _require_int(count, "histogram count", 0))
+                    for center, count in raw["histogram"]
                 ),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ValidationError) as e:
             raise SchemaError(f"report is missing or mistypes a field: {e}") from e
+
+
+def _require_bins(bins: int) -> None:
+    """Refuse a histogram bin count below 1; callers check before they read or write anything."""
+    if bins < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
 
 
 def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int], ...]:
     """Uniform-bin histogram of the defined QC-FC values over [-1, 1]."""
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    _require_bins(bins)
     defined = edge_qcfc[~np.isnan(edge_qcfc)]
     edges = np.linspace(-1.0, 1.0, bins + 1)
     counts, _ = np.histogram(defined, bins=edges)
@@ -295,7 +316,10 @@ def correct_cohort(
     spec = PipelineSpec(kind)
     n_subjects = 0
     for n_subjects, bundle in enumerate(bundles, 1):
-        corrected = run_pipeline(bundle, spec)
+        try:
+            corrected = run_pipeline(bundle, spec)
+        except DataIntegrityError as e:
+            raise DataIntegrityError(f"subject {bundle.subject_id!r}: {e}") from e
         write_matrix_csv(
             out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
         )
@@ -345,7 +369,10 @@ def score_cohort(
                 f"subject {subject_id!r}: motion has {motion.n_timepoints} rows, "
                 f"timeseries has {ts.n_timepoints}"
             )
-        mfds.append(mean_fd(framewise_displacement(motion)))
+        try:
+            mfds.append(mean_fd(framewise_displacement(motion)))
+        except DataIntegrityError as e:
+            raise DataIntegrityError(f"subject {subject_id!r}: {e}") from e
         fcs.append(fc_matrix(ts))
 
     report = qcfc(fcs, np.array(mfds))
@@ -363,8 +390,7 @@ def score_cohort(
     report_path.parent.mkdir(parents=True, exist_ok=True)
     _write_record(report_path, asdict(run_report))
     hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
-    hist_rows = [(format_float(c), k) for c, k in run_report.histogram]
-    atomic_write_text(hist_path, csv_text([("bin_center", "count"), *hist_rows]))
+    atomic_write_text(hist_path, csv_text([("bin_center", "count"), *run_report.histogram]))
     print(f"pipeline: {pipeline_name}")
     print(f"median_abs_qcfc: {run_report.median_abs_qcfc:.6f}")
     print(f"dist_dependence_rho: {run_report.dist_dependence_rho:.6f}")
@@ -376,6 +402,7 @@ def cmd_qc(
 ) -> None:
     if raw == (corrected_dir is not None):
         raise ValidationError("exactly one of --corrected and --raw is required")
+    _require_bins(bins)
     manifest, base = load_manifest(Path(manifest_path))
     parc = read_parcellation_csv(base / manifest.parcellation_path)
     pipeline_name = RAW_PIPELINE_NAME if raw else _corrected_pipeline_name(Path(corrected_dir))
@@ -415,9 +442,8 @@ def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
             f"{r.undefined_edge_count:>9d}"
         )
         rows.append(
-            (r.pipeline, r.n_subjects, format_float(r.median_abs_qcfc),
-             format_float(r.dist_dependence_rho), format_float(r.dist_dependence_p),
-             r.undefined_edge_count)
+            (r.pipeline, r.n_subjects, r.median_abs_qcfc, r.dist_dependence_rho,
+             r.dist_dependence_p, r.undefined_edge_count)
         )
     text = csv_text(rows)
     if csv_path is None:

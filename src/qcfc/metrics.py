@@ -160,13 +160,19 @@ def framewise_displacement(motion: HeadMotion, radius_mm: float = 50.0) -> np.nd
     converted to arc length on a sphere of `radius_mm`. The first frame has
     no predecessor and gets 0 by convention. Per-frame sums are correctly
     rounded (math.fsum) so hand-checkable decimal examples come out exact.
+    A frame whose displacement overflows float64 is inf, which `mean_fd`
+    refuses.
     """
     if not np.isfinite(radius_mm) or radius_mm <= 0:
         raise DegenerateInputError(f"radius_mm must be positive and finite, got {radius_mm}")
-    diffs = np.abs(np.diff(motion.values, axis=0))
+    with np.errstate(over="ignore"):
+        diffs = np.abs(np.diff(motion.values, axis=0))
     fd = np.zeros(motion.n_timepoints)
     for t, row in enumerate(diffs, start=1):
-        fd[t] = math.fsum(row[:3]) + radius_mm * math.fsum(row[3:])
+        try:
+            fd[t] = math.fsum(row[:3]) + radius_mm * math.fsum(row[3:])
+        except OverflowError:  # finite terms whose exact sum is beyond float64
+            fd[t] = math.inf
     return fd
 
 
@@ -177,7 +183,11 @@ def mean_fd(fd) -> float:
         raise DegenerateInputError("mean_fd needs a non-empty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise DataIntegrityError("framewise displacement contains NaN or infinite entries")
-    return float(arr.mean())
+    with np.errstate(over="ignore"):
+        mean = float(arr.mean())
+    if not math.isfinite(mean):
+        raise DataIntegrityError("framewise displacement is too large: its mean overflows")
+    return mean
 
 
 def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +313,11 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
             raise SchemaError(f"FC matrix {k} has different ROI labels than the first")
 
     edges = np.stack([fc.upper_triangle() for fc in fc_per_subject])
-    g = mfd - mfd.mean()
-    ssg = float(g @ g)
+    with np.errstate(over="ignore"):
+        g = mfd - mfd.mean()
+        ssg = float(g @ g)
+    if not math.isfinite(ssg):
+        raise DataIntegrityError("mean FD is too large: its sum of squares overflows")
     gn = math.sqrt(ssg)
     if gn == 0.0 or gn <= s * np.finfo(float).eps * np.max(np.abs(mfd), initial=0.0):
         raise DegenerateInputError("mean FD is constant across subjects")

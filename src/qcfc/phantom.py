@@ -25,11 +25,12 @@ it, so the column's population std is the amplitude.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import DataIntegrityError, SchemaError, ValidationError
 from .metrics import FcMatrix, Parcellation, default_roi_labels
 from .pipelines import HeadMotion, SubjectBundle, expand_hmp24
 from .regression import (
@@ -71,7 +72,10 @@ def _require_int(value, field: str, minimum: int) -> int:
 def _require_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as e:
+        raise ValidationError(f"{field} must be finite, got an integer beyond float range") from e
     if not np.isfinite(out):
         raise ValidationError(f"{field} must be finite, got {out}")
     return out
@@ -197,6 +201,16 @@ def _truth_structure(rng: np.random.Generator, r: int) -> tuple[np.ndarray, np.n
     return sigma, chol
 
 
+@contextmanager
+def _overflow_refused():
+    """Refuse a config whose cohort overflows float64, as an invalid config."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, DataIntegrityError) as e:
+        raise ValidationError(f"config: the cohort it describes overflows float64 ({e})") from e
+
+
 def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
     """Build the full cohort for one config; same config, same bytes.
 
@@ -204,8 +218,10 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
     subject (in id order) amplitude, motion, neural noise, component
     ingredients, source mixtures, physio. Nothing conditions on
     artifact_gain, which only scales the injected artifact at the end.
+    A config whose values overflow float64 on the way (a huge
+    artifact_gain or motion amplitude) raises ValidationError.
     """
-    with _one_blas_thread():
+    with _one_blas_thread(), _overflow_refused():
         rng = np.random.default_rng(cfg.seed)
         n = cfg.n_timepoints
         r = cfg.n_rois
@@ -227,7 +243,10 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
         dist_to_source = np.linalg.norm(
             centroids[:, None, :] - centroids[source_idx][None, :, :], axis=2
         )
-        coupling = np.exp(-dist_to_source / cfg.artifact_length_scale)
+        # With a tiny length scale, distance / scale can overflow to inf; exp(-inf) = 0 is
+        # the right coupling.
+        with np.errstate(over="ignore"):
+            coupling = np.exp(-dist_to_source / cfg.artifact_length_scale)
 
         low, high = cfg.motion_amplitude_range
         bundles = []

@@ -130,12 +130,15 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
 
     Fixed column order keeps file outputs byte-stable: the 6 parameters,
     their 6 backward-difference derivatives (first row 0), the 6 squared
-    parameters, the 6 squared derivatives.
+    parameters, the 6 squared derivatives. Motion so large that a
+    derivative or a square overflows float64 leaves an infinite entry, which
+    the block refuses (DataIntegrityError).
     """
     params = motion.values
     deriv = np.zeros_like(params)
-    deriv[1:] = np.diff(params, axis=0)
-    values = np.hstack([params, deriv, params**2, deriv**2])
+    with np.errstate(over="ignore"):
+        deriv[1:] = np.diff(params, axis=0)
+        values = np.hstack([params, deriv, params**2, deriv**2])
     labels = (
         tuple(HMP_PARAM_LABELS)
         + tuple(f"{p}_deriv" for p in HMP_PARAM_LABELS)

@@ -1,11 +1,14 @@
 """CSV and JSON serialization with atomic writes.
 
 All matrices are CSV with one header row (columns = ROIs, regressors, or
-motion parameters; rows = timepoints). Floats are written with 17
-significant digits so a write/read round trip is exact. A matrix is
-formatted one row at a time through a single `%.17g,...,%.17g` row format;
-only the header row goes through `csv` quoting, since labels may contain
-commas, quotes, line feeds or carriage returns. Writes go to a uniquely
+motion parameters; rows = timepoints). This module alone turns floats into
+CSV text and back: every float in every CSV (matrices, motion,
+parcellation, histogram and `comparison.csv`) is written in one `%.17g`
+format, 17 significant digits, so a write/read round trip is exact, and
+every float cell is parsed by one table reader. A matrix is formatted one
+row at a time through a single `%.17g,...,%.17g` row format; only the
+header row goes through `csv` quoting, since labels may contain commas,
+quotes, line feeds or carriage returns. Writes go to a uniquely
 named temporary file in the same directory, are synced to disk and renamed
 into place, so a failed run never leaves a partial file and two runs never
 share a temporary file; a failed write removes its temporary file.
@@ -35,7 +38,6 @@ from .metrics import Parcellation
 from .pipelines import HMP_PARAM_LABELS, HeadMotion
 
 __all__ = [
-    "format_float",
     "atomic_write_text",
     "csv_text",
     "write_matrix_csv",
@@ -49,10 +51,8 @@ __all__ = [
 ]
 
 PARCELLATION_HEADER = ("roi", "x_mm", "y_mm", "z_mm")
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+# The text of every float cell: 17 significant digits read back exactly.
+_FLOAT_FORMAT = "%.17g"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -73,9 +73,11 @@ def atomic_write_text(path: Path, text: str) -> None:
 def csv_text(rows) -> str:
     """Rows as CSV text, each ended by a line feed.
 
-    A field holding a comma, double quote, line feed or carriage return is
-    quoted: `csv.writer` quotes any character of its line terminator, so it
-    ends each row with CR LF, cut back here to LF.
+    A float cell (`float` or `np.float64`) is written as `"%.17g" % x`; any
+    other cell as `csv` writes it. A field holding a comma, double quote,
+    line feed or carriage return is quoted: `csv.writer` quotes any
+    character of its line terminator, so it ends each row with CR LF, cut
+    back here to LF.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -83,7 +85,7 @@ def csv_text(rows) -> str:
     for row in rows:
         buf.seek(0)
         buf.truncate()
-        writer.writerow(row)
+        writer.writerow([_FLOAT_FORMAT % c if isinstance(c, float) else c for c in row])
         lines.append(buf.getvalue()[:-2] + "\n")
     return "".join(lines)
 
@@ -97,8 +99,35 @@ def _read_text(path: Path) -> str:
         raise FileFormatError(f"cannot read {path}: {e}") from e
 
 
-def _read_rows(path: Path) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
+def _read_table(path: Path, label_columns: int, header: tuple[str, ...] | None = None):
+    """Parse a CSV of one header row, then rows of `label_columns` text cells and float cells.
+
+    A given `header` must match the file's exactly; it is checked before any
+    row is parsed. Every row must be as wide as the header and every float
+    cell finite. Returns the header, each row's label cells, and the float
+    cells as a matrix; a header of no fields means a zero-column matrix.
+    """
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    if not rows:
+        raise FileFormatError(f"{path}: empty file")
+    found = tuple(rows[0])
+    if header is not None and found != header:
+        raise FileFormatError(f"{path}: header must be {','.join(header)}, got {','.join(found)}")
+    width = len(found)
+    data = np.zeros((len(rows) - 1, width - label_columns))
+    for i, row in enumerate(rows[1:]):
+        if len(row) != width:
+            raise FileFormatError(
+                f"{path}: row {i + 2} has {len(row)} fields, header has {width}"
+            )
+        for j in range(label_columns, width):
+            try:
+                data[i, j - label_columns] = float(row[j])
+            except ValueError as e:
+                raise FileFormatError(f"{path}: row {i + 2}, column {j + 1}: {e}") from e
+    if not np.all(np.isfinite(data)):
+        raise FileFormatError(f"{path}: contains non-finite values")
+    return found, [tuple(row[:label_columns]) for row in rows[1:]], data
 
 
 def write_matrix_csv(path: Path, values: np.ndarray, labels) -> None:
@@ -108,35 +137,16 @@ def write_matrix_csv(path: Path, values: np.ndarray, labels) -> None:
         raise FileFormatError(
             f"matrix shape {values.shape} does not match {len(labels)} labels"
         )
-    # `"%.17g" % x` and `format_float(x)` give the same text for every
-    # float64, and no such cell needs `csv` quoting; only labels can.
-    row_format = ",".join(["%.17g"] * len(labels)) + "\n"
+    # The text `csv_text` gives each cell; no float cell needs `csv`
+    # quoting, only labels can.
+    row_format = ",".join([_FLOAT_FORMAT] * len(labels)) + "\n"
     body = "".join([row_format % tuple(row) for row in values.tolist()])
     atomic_write_text(path, csv_text([labels]) + body)
 
 
 def read_matrix_csv(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Parse a header-plus-floats CSV; empty rows mean a zero-column matrix."""
-    rows = _read_rows(path)
-    if not rows and Path(path).stat().st_size == 0:
-        raise FileFormatError(f"{path}: empty file")
-    if not rows:
-        raise FileFormatError(f"{path}: missing header row")
-    header = tuple(rows[0])
-    width = len(header)
-    data = np.zeros((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != width:
-            raise FileFormatError(
-                f"{path}: row {i + 2} has {len(row)} fields, header has {width}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError as e:
-                raise FileFormatError(f"{path}: row {i + 2}, column {j + 1}: {e}") from e
-    if not np.all(np.isfinite(data)):
-        raise FileFormatError(f"{path}: contains non-finite values")
+    header, _, data = _read_table(path, 0)
     return data, header
 
 
@@ -145,12 +155,7 @@ def write_motion_csv(path: Path, motion: HeadMotion) -> None:
 
 
 def read_motion_csv(path: Path) -> HeadMotion:
-    values, header = read_matrix_csv(path)
-    if header != HMP_PARAM_LABELS:
-        raise FileFormatError(
-            f"{path}: motion header must be {','.join(HMP_PARAM_LABELS)}, "
-            f"got {','.join(header)}"
-        )
+    _, _, values = _read_table(path, 0, HMP_PARAM_LABELS)
     try:
         return HeadMotion(values)
     except QcfcError as e:
@@ -158,30 +163,14 @@ def read_motion_csv(path: Path) -> HeadMotion:
 
 
 def write_parcellation_csv(path: Path, parc: Parcellation) -> None:
-    rows = [list(PARCELLATION_HEADER)]
-    for label, (x, y, z) in zip(parc.roi_labels, parc.centroids):
-        rows.append([label, format_float(x), format_float(y), format_float(z)])
-    atomic_write_text(path, csv_text(rows))
+    rows = [[label, *xyz] for label, xyz in zip(parc.roi_labels, parc.centroids.tolist())]
+    atomic_write_text(path, csv_text([PARCELLATION_HEADER, *rows]))
 
 
 def read_parcellation_csv(path: Path) -> Parcellation:
-    rows = _read_rows(path)
-    if not rows or tuple(rows[0]) != PARCELLATION_HEADER:
-        raise FileFormatError(
-            f"{path}: parcellation header must be {','.join(PARCELLATION_HEADER)}"
-        )
-    labels = []
-    coords = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 4:
-            raise FileFormatError(f"{path}: row {i + 2} has {len(row)} fields, expected 4")
-        labels.append(row[0])
-        try:
-            coords.append([float(c) for c in row[1:]])
-        except ValueError as e:
-            raise FileFormatError(f"{path}: row {i + 2}: {e}") from e
+    _, labels, coords = _read_table(path, 1, PARCELLATION_HEADER)
     try:
-        return Parcellation(tuple(labels), np.array(coords))
+        return Parcellation(tuple(label for (label,) in labels), coords)
     except QcfcError as e:
         raise FileFormatError(f"{path}: {e}") from e
 

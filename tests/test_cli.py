@@ -130,6 +130,27 @@ class TestPhantomCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"artifact_gain": 1e308},
+            {"motion_amplitude_range": [1e300, 1e301]},
+            {"artifact_gain": 10**400},
+        ],
+        ids=["gain", "amplitude", "integer-beyond-float"],
+    )
+    def test_config_that_overflows_float64_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not (tmp_path / "d").exists()
+
+    def test_length_scale_below_float64_range_still_generates(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", artifact_length_scale=1e-310)
+        assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+
     def test_out_path_collision_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24)
         blocked = tmp_path / "blocked"
@@ -335,6 +356,49 @@ class TestCorrectCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert "sub-001" in err and name.split(".")[0] in err
+
+
+def cohort_with_motion_cell(cohort_dir, tmp_path, cells):
+    """A copy of the cohort whose sub-002 motion has `cells` {(row, column): text} replaced."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    motion = cohort / "sub-002" / "motion.csv"
+    lines = [line.split(",") for line in motion.read_text().splitlines()]
+    for (row, col), text in cells.items():
+        lines[row][col] = text
+    motion.write_text("".join(",".join(line) + "\n" for line in lines))
+    return cohort
+
+
+class TestMotionBeyondFloat64:
+    """Finite motion whose squares or sums overflow is a data error naming the subject."""
+
+    def test_correct_exits_4(self, cohort_dir, tmp_path, capsys):
+        cohort = cohort_with_motion_cell(cohort_dir, tmp_path, {(5, 0): "1e200"})
+        manifest = str(cohort / "manifest.json")
+        out = tmp_path / "o"
+        assert main(["correct", "--manifest", manifest, "--pipeline", "concat", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: subject 'sub-002'")
+        assert not (out / "run_info.json").exists()
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            {(5, 0): "1e200"},
+            {(5, 0): "1.7e308", (5, 1): "1.7e308", (6, 0): "-1.7e308", (6, 1): "-1.7e308"},
+        ],
+        ids=["mean-fd-squares", "framewise-displacement"],
+    )
+    def test_qc_raw_exits_4(self, cohort_dir, tmp_path, capsys, cells):
+        cohort = cohort_with_motion_cell(cohort_dir, tmp_path, cells)
+        report = tmp_path / "qc.json"
+        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "overflow" in err or "infinite" in err
+        assert not report.exists()
 
 
 class TestQcCommand:
@@ -573,6 +637,18 @@ class TestQcCommand:
         )
         assert rc == 2
 
+    def test_zero_bins_refused_before_reading_a_subject(self, cohort_dir, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        ts = cohort / "sub-000" / "ts.csv"
+        ts.write_text(ts.read_text().replace(",", ",oops", 1))
+        report = tmp_path / "qc.json"
+        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
+        assert main([*argv, "--bins", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bins must be >= 1, got 0\n"
+        assert not report.exists()
+
     def test_source_flags_are_exclusive(self, cohort_dir, tmp_path):
         manifest = str(cohort_dir / "manifest.json")
         with pytest.raises(ValidationError):
@@ -681,6 +757,29 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": "1"}))
         assert main(["report", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_subjects", 2.9),
+            ("n_edges", True),
+            ("undefined_edge_count", False),
+            ("median_abs_qcfc", "0.5"),
+            ("dist_dependence_p", float("nan")),
+            ("pipeline", 7),
+            ("histogram", [[0.0, 3.7]]),
+            ("histogram", [[True, 3]]),
+        ],
+    )
+    def test_mistyped_field_exits_2(self, report_paths, tmp_path, capsys, field, value):
+        report = json.loads(report_paths[1].read_text())
+        report[field] = value
+        path = tmp_path / "qc.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: report is missing or mistypes a field:")
 
     def test_missing_report_exits_4(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 4

@@ -64,3 +64,11 @@ def test_workdir_that_is_a_file_exits_3(tmp_path, monkeypatch):
     blocked = tmp_path / "blocked"
     blocked.write_text("")
     assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(blocked)) == 3
+
+
+def test_zero_bins_exits_2_before_writing_anything(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    work = tmp_path / "w"
+    assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(work), "--bins", "0") == 2
+    assert capsys.readouterr().err == "error: bins must be >= 1, got 0\n"
+    assert not (work / "cohort").exists()

@@ -366,6 +366,11 @@ class TestQcfc:
         with pytest.raises(DegenerateInputError):
             qcfc(fcs, [0.1, 0.2])
 
+    def test_overflowing_mfd_rejected_without_warning(self):
+        fcs = cohort_fcs(17, 4, 4)
+        with pytest.raises(DataIntegrityError, match="overflows"):
+            qcfc(fcs, [1e200, -1e200, 0.0, 1.0])
+
     def test_constant_mfd_rejected(self):
         fcs = cohort_fcs(17, 4, 4)
         with pytest.raises(DegenerateInputError):

@@ -13,7 +13,7 @@ from qcfc.pipelines import HMP_PARAM_LABELS
 from qcfc.storage import (
     PARCELLATION_HEADER,
     atomic_write_text,
-    format_float,
+    csv_text,
     read_json,
     read_matrix_csv,
     read_motion_csv,
@@ -38,16 +38,23 @@ EDGE_FLOATS = (
     float("-inf"),
 )
 LABEL_TEXT = st.text(alphabet=st.sampled_from("ab,\"\n\r é"), max_size=4)
+# Any float64: ordinary draws, the edge values, and raw bit patterns (NaN
+# payloads, subnormals).
+FLOAT64S = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))),
+)
+FINITE_FLOAT64S = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([x for x in EDGE_FLOATS if np.isfinite(x)]),
+)
 
 
 @st.composite
 def labelled_matrices(draw):
     shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6))
-    bit_patterns = st.integers(0, 2**64 - 1).map(
-        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
-    )
-    elements = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), bit_patterns)
-    values = draw(arrays(np.float64, shape, elements=elements))
+    values = draw(arrays(np.float64, shape, elements=FLOAT64S))
     labels = draw(st.lists(LABEL_TEXT, min_size=shape[1], max_size=shape[1]))
     return values, labels
 
@@ -217,6 +224,46 @@ class TestParcellationCsv:
         with pytest.raises(FileFormatError):
             read_parcellation_csv(path)
 
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(LABEL_TEXT, min_size=2, max_size=6, unique=True).flatmap(
+            lambda labels: st.tuples(
+                st.just(labels), arrays(np.float64, (len(labels), 3), elements=FINITE_FLOAT64S)
+            )
+        )
+    )
+    @example((["a,b", 'q"d', "l\nf", "c\rr", "\r\n", ""], np.array([EDGE_FLOATS[:6]] * 3).T))
+    def test_any_labels_and_coordinates_survive(self, tmp_path, labelled_coords):
+        labels, coords = labelled_coords
+        path = tmp_path / "parc.csv"
+        write_parcellation_csv(path, Parcellation(tuple(labels), coords))
+        back = read_parcellation_csv(path)
+        assert back.roi_labels == tuple(labels)
+        assert back.centroids.tobytes() == coords.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,0,0\nb,1,1,1\n", "row 2 has 3 fields, header has 4"),
+            ("a,0,oops,0\nb,1,1,1\n", "row 2, column 3: could not convert"),
+            ("a,0,inf,0\nb,1,1,1\n", "contains non-finite values"),
+        ],
+        ids=["short-row", "bad-cell", "non-finite"],
+    )
+    def test_errors_read_as_the_matrix_reader_words_them(self, tmp_path, body, message):
+        path = tmp_path / "parc.csv"
+        path.write_text("roi,x_mm,y_mm,z_mm\n" + body)
+        with pytest.raises(FileFormatError) as err:
+            read_parcellation_csv(path)
+        assert message in str(err.value)
+
+    def test_header_checked_before_any_row(self, tmp_path):
+        path = tmp_path / "parc.csv"
+        path.write_text("name,x,y,z\na,oops,0\n")
+        with pytest.raises(FileFormatError) as err:
+            read_parcellation_csv(path)
+        assert "header must be roi,x_mm,y_mm,z_mm, got name,x,y,z" in str(err.value)
+
 
 @pytest.mark.parametrize(
     "reader, value_type, text",
@@ -262,10 +309,16 @@ class TestJson:
 
 
 class TestFormatFloat:
-    def test_examples(self):
-        assert format_float(0.5) == "0.5"
-        assert float(format_float(0.1)) == 0.1
-        assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
+    @given(st.lists(FLOAT64S, min_size=1, max_size=6))
+    @example([0.5, 0.1, 1.0 / 3.0, *EDGE_FLOATS])
+    def test_examples(self, row):
+        """`csv_text` writes every float64 cell, `float` or `np.float64`, as `%.17g`."""
+        text = ",".join(format(x, ".17g") for x in row) + "\n"
+        assert csv_text([row]) == text
+        assert csv_text([[np.float64(x) for x in row]]) == text
+        back = np.array([float(cell) for cell in text[:-1].split(",")])
+        assert np.array_equal(back, row, equal_nan=True)
+        assert np.array_equal(np.signbit(back[back == 0]), np.signbit(np.array(row)[back == 0]))
 
     def test_atomic_write_creates_parented_file(self, tmp_path):
         target = tmp_path / "out.txt"
