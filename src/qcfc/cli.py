@@ -8,14 +8,22 @@ Four subcommands cover the full chain:
     qcfc report qc_*.json --csv comparison.csv
 
 Exit codes: 0 success; 2 invalid config (including one whose cohort
-overflows float64, or a histogram bin count below 1), unknown pipeline,
-schema mismatch, or not enough memory (for example a phantom config too
-large to generate); 3 filesystem failure (unwritable output); 4 malformed,
-missing or inconsistent data file (including finite motion whose
-regressors or mean-FD sums overflow float64); 5 degenerate input (too few
-subjects, constant mean FD). Data and JSON files are read as UTF-8; a file
-with an invalid byte is malformed (exit 4, or 2 for the `phantom` config).
-Paths inside a manifest are relative to the manifest's directory.
+overflows float64 or whose arrays are too large for NumPy to index, or a
+histogram bin count below 1), unknown pipeline, schema mismatch, a mistyped
+or unknown field in a JSON record, or not enough memory (for example a
+phantom config too large to generate); 3 filesystem failure (unwritable
+output); 4 malformed, missing or inconsistent data file (including finite
+motion whose regressors or mean-FD sums overflow float64); 5 degenerate
+input (too few subjects, constant mean FD). Data and JSON files are read as
+UTF-8; a file with an invalid byte is malformed (exit 4, or 2 for the
+`phantom` config). Paths inside a manifest are relative to the manifest's
+directory.
+
+The JSON records (config, manifest, `run_info.json`, QC report) are frozen
+dataclasses on `qcfc.storage.Record`, which checks each field's type from its
+annotation. Each record class adds its own range and path rules
+(`PhantomConfig` in `qcfc.phantom`, the others here), and `_read_record`
+checks the schema version and names the file in any error.
 """
 
 from __future__ import annotations
@@ -45,22 +53,18 @@ from .metrics import (
     mean_fd,
     qcfc,
 )
-from .phantom import (
-    PhantomCohort,
-    PhantomConfig,
-    _require_float,
-    _require_int,
-    generate_cohort,
-)
+from .phantom import PhantomCohort, PhantomConfig, generate_cohort
 from .pipelines import HeadMotion, PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
 from .regression import DesignMatrix, RegressorSource, SignalMatrix
 from .storage import (
+    Record,
     atomic_write_text,
     csv_text,
     read_json,
     read_matrix_csv,
     read_motion_csv,
     read_parcellation_csv,
+    record_from_json,
     write_json,
     write_matrix_csv,
     write_motion_csv,
@@ -71,6 +75,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SubjectPaths",
     "CohortManifest",
+    "RunInfo",
     "RunReport",
     "write_cohort",
     "load_manifest",
@@ -94,19 +99,15 @@ SUBJECT_FILES = ("ts", "motion", "aroma", "physio")
 Subject = tuple[str, HeadMotion, SignalMatrix]
 
 
-def _manifest_path(value, what: str) -> str:
-    """A manifest file path, refused unless it stays inside the manifest's directory."""
-    path = str(value)
+def _check_manifest_path(path: str, field: str) -> None:
+    """Refuse a manifest file path unless it stays inside the manifest's directory."""
     flavours = (PurePosixPath(path), PureWindowsPath(path))
     if any(p.is_absolute() or ".." in p.parts for p in flavours):
-        raise ValidationError(
-            f"manifest {what}: {path!r} must be a relative path without '..' components"
-        )
-    return path
+        raise ValidationError(f"{field} {path!r} must be a relative path without '..' components")
 
 
 @dataclass(frozen=True)
-class SubjectPaths:
+class SubjectPaths(Record):
     """Relative file locations for one subject, as stored in the manifest."""
 
     subject_id: str
@@ -115,62 +116,49 @@ class SubjectPaths:
     aroma: str
     physio: str
 
-
-def _write_record(path: Path, record: dict) -> None:
-    """Write a JSON record stamped with the current schema version."""
-    write_json(path, {"schema_version": SCHEMA_VERSION, **record})
-
-
-def _read_record(path: Path) -> dict:
-    """Read a JSON record, refusing anything but an object of the current schema version."""
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: a record must be a JSON object")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}"
-        )
-    return raw
+    def __post_init__(self):
+        super().__post_init__()
+        sid = self.subject_id
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise ValidationError(
+                f"subject_id {sid!r} must be a single path component"
+                " (no '/', '\\' or NUL, not empty, '.' or '..')"
+            )
+        for field in SUBJECT_FILES:
+            _check_manifest_path(getattr(self, field), field)
 
 
 @dataclass(frozen=True)
-class CohortManifest:
+class CohortManifest(Record):
     parcellation_path: str
     subjects: tuple[SubjectPaths, ...]
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CohortManifest":
-        if "parcellation_path" not in raw:
-            raise ValidationError("manifest is missing parcellation_path")
-        parcellation_path = _manifest_path(raw["parcellation_path"], "parcellation_path")
-        entries = raw.get("subjects")
-        if not isinstance(entries, list) or not entries:
+    def __post_init__(self):
+        super().__post_init__()
+        _check_manifest_path(self.parcellation_path, "parcellation_path")
+        if not self.subjects:
             raise ValidationError("manifest must list at least one subject")
-        subjects = []
         seen = set()
-        for k, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValidationError(f"manifest subject {k} is not an object")
-            missing = [key for key in ("subject_id", *SUBJECT_FILES) if key not in entry]
-            if missing:
-                raise ValidationError(f"manifest subject {k} is missing {missing[0]!r}")
-            sid = str(entry["subject_id"])
-            if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
-                raise ValidationError(
-                    f"manifest subject {k}: subject_id {sid!r} must be a single "
-                    "path component (no '/', '\\' or NUL, not empty, '.' or '..')"
-                )
-            if sid in seen:
-                raise ValidationError(f"duplicate subject_id {sid!r} in manifest")
-            seen.add(sid)
-            files = {key: _manifest_path(entry[key], f"subject {k} {key}") for key in SUBJECT_FILES}
-            subjects.append(SubjectPaths(sid, **files))
-        return cls(parcellation_path, tuple(subjects))
+        for s in self.subjects:
+            if s.subject_id in seen:
+                raise ValidationError(f"duplicate subject_id {s.subject_id!r} in manifest")
+            seen.add(s.subject_id)
 
 
 @dataclass(frozen=True)
-class RunReport:
+class RunInfo(Record):
+    """What `correct` records beside its output: the pipeline it ran and the subject count."""
+
+    pipeline: str
+    n_subjects: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        PipelineKind.from_name(self.pipeline)
+
+
+@dataclass(frozen=True)
+class RunReport(Record):
     """Figure-ready summary of one QC run over one corrected cohort."""
 
     pipeline: str
@@ -182,32 +170,40 @@ class RunReport:
     undefined_edge_count: int
     histogram: tuple[tuple[float, int], ...]
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunReport":
-        """Read a report as JSON typed it: a string name, integer counts, finite numbers."""
-        try:
-            if not isinstance(raw["pipeline"], str):
-                raise ValidationError(f"pipeline must be a string, got {raw['pipeline']!r}")
-            return cls(
-                pipeline=raw["pipeline"],
-                n_subjects=_require_int(raw["n_subjects"], "n_subjects", 0),
-                n_edges=_require_int(raw["n_edges"], "n_edges", 0),
-                median_abs_qcfc=_require_float(raw["median_abs_qcfc"], "median_abs_qcfc"),
-                dist_dependence_rho=_require_float(
-                    raw["dist_dependence_rho"], "dist_dependence_rho"
-                ),
-                dist_dependence_p=_require_float(raw["dist_dependence_p"], "dist_dependence_p"),
-                undefined_edge_count=_require_int(
-                    raw["undefined_edge_count"], "undefined_edge_count", 0
-                ),
-                histogram=tuple(
-                    (_require_float(center, "histogram bin center"),
-                     _require_int(count, "histogram count", 0))
-                    for center, count in raw["histogram"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as e:
-            raise SchemaError(f"report is missing or mistypes a field: {e}") from e
+    def __post_init__(self):
+        super().__post_init__()
+        counts = [(f, getattr(self, f)) for f in ("n_subjects", "n_edges", "undefined_edge_count")]
+        for name, count in [*counts, *(("histogram count", k) for _, k in self.histogram)]:
+            if count < 0:
+                raise ValidationError(f"{name} must be >= 0, got {count}")
+
+
+# The `comparison.csv` columns: one row of these `RunReport` fields per report.
+COMPARISON_COLUMNS = (
+    "pipeline", "n_subjects", "median_abs_qcfc",
+    "dist_dependence_rho", "dist_dependence_p", "undefined_edge_count",
+)
+
+
+def _write_record(path: Path, record: Record) -> None:
+    """Write a record as JSON, stamped with the current schema version."""
+    write_json(path, {"schema_version": SCHEMA_VERSION, **asdict(record)})
+
+
+def _read_record(path: Path, cls: type[Record]) -> Record:
+    """Read a `cls` record of the current schema version; any error names the file."""
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: a record must be a JSON object")
+    version = raw.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
+        raise SchemaError(
+            f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}"
+        )
+    try:
+        return record_from_json(cls, raw)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
 
 
 def _require_bins(bins: int) -> None:
@@ -246,14 +242,14 @@ def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Pa
         sid = bundle.subject_id
         subjects.append(SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}))
     manifest_path = out_dir / "manifest.json"
-    _write_record(manifest_path, asdict(CohortManifest("parcellation.csv", tuple(subjects))))
+    _write_record(manifest_path, CohortManifest("parcellation.csv", tuple(subjects)))
     return manifest_path
 
 
 def load_manifest(manifest_path: Path) -> tuple[CohortManifest, Path]:
     """Read and validate a manifest; returns it with its base directory."""
     manifest_path = Path(manifest_path)
-    manifest = CohortManifest.from_dict(_read_record(manifest_path))
+    manifest = _read_record(manifest_path, CohortManifest)
     base = manifest_path.parent
     if not (base / manifest.parcellation_path).is_file():
         raise FileFormatError(
@@ -294,10 +290,9 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
 def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
     """Generate the cohort a config describes, write it under `out_dir`, and return it."""
     try:
-        raw = read_json(Path(config_path))
-    except FileFormatError as e:
+        cfg = PhantomConfig.from_dict(read_json(Path(config_path)))
+    except (FileFormatError, ValidationError) as e:
         raise ValidationError(f"config: {e}") from e
-    cfg = PhantomConfig.from_dict(raw)
     cohort = generate_cohort(cfg)
     manifest_path = write_cohort(cohort, Path(out_dir), cfg)
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
@@ -324,7 +319,7 @@ def correct_cohort(
             out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
         )
         yield bundle.subject_id, bundle.motion, corrected
-    _write_record(out / RUN_INFO_NAME, {"pipeline": kind.value, "n_subjects": n_subjects})
+    _write_record(out / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
 
@@ -334,18 +329,6 @@ def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> None:
     bundles = (load_bundle(base, paths) for paths in manifest.subjects)
     for _ in correct_cohort(bundles, kind, Path(out_dir)):
         pass
-
-
-def _corrected_pipeline_name(corrected_dir: Path) -> str:
-    info_path = corrected_dir / RUN_INFO_NAME
-    if not info_path.is_file():
-        raise FileFormatError(
-            f"{corrected_dir} has no {RUN_INFO_NAME}; run `correct` into this directory first"
-        )
-    try:
-        return PipelineKind.from_name(_read_record(info_path).get("pipeline")).value
-    except ValidationError as e:
-        raise ValidationError(f"{info_path}: {e}") from e
 
 
 def score_cohort(
@@ -388,7 +371,7 @@ def score_cohort(
         histogram=histogram_points(report.edge_qcfc, bins),
     )
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_record(report_path, asdict(run_report))
+    _write_record(report_path, run_report)
     hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
     atomic_write_text(hist_path, csv_text([("bin_center", "count"), *run_report.histogram]))
     print(f"pipeline: {pipeline_name}")
@@ -405,7 +388,15 @@ def cmd_qc(
     _require_bins(bins)
     manifest, base = load_manifest(Path(manifest_path))
     parc = read_parcellation_csv(base / manifest.parcellation_path)
-    pipeline_name = RAW_PIPELINE_NAME if raw else _corrected_pipeline_name(Path(corrected_dir))
+    if raw:
+        pipeline_name = RAW_PIPELINE_NAME
+    else:
+        info_path = Path(corrected_dir) / RUN_INFO_NAME
+        if not info_path.is_file():
+            raise FileFormatError(
+                f"{corrected_dir} has no {RUN_INFO_NAME}; run `correct` into this directory first"
+            )
+        pipeline_name = _read_record(info_path, RunInfo).pipeline
 
     def subjects() -> Iterator[Subject]:
         for paths in manifest.subjects:
@@ -424,27 +415,21 @@ def cmd_qc(
 
 
 def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
-    reports = [RunReport.from_dict(_read_record(Path(p))) for p in report_paths]
+    reports = [_read_record(Path(p), RunReport) for p in report_paths]
     name_width = max(len("pipeline"), max(len(r.pipeline) for r in reports))
     header = (
         f"{'pipeline':<{name_width}}  {'median_abs_qcfc':>15}  "
         f"{'dist_dep_rho':>12}  {'dist_dep_p':>12}  {'undefined':>9}"
     )
     print(header)
-    rows = [
-        ("pipeline", "n_subjects", "median_abs_qcfc", "dist_dependence_rho",
-         "dist_dependence_p", "undefined_edge_count")
-    ]
+    rows = [COMPARISON_COLUMNS]
     for r in reports:
         print(
             f"{r.pipeline:<{name_width}}  {r.median_abs_qcfc:>15.6f}  "
             f"{r.dist_dependence_rho:>12.6f}  {r.dist_dependence_p:>12.6f}  "
             f"{r.undefined_edge_count:>9d}"
         )
-        rows.append(
-            (r.pipeline, r.n_subjects, r.median_abs_qcfc, r.dist_dependence_rho,
-             r.dist_dependence_p, r.undefined_edge_count)
-        )
+        rows.append([getattr(r, column) for column in COMPARISON_COLUMNS])
     text = csv_text(rows)
     if csv_path is None:
         print()
@@ -510,7 +495,9 @@ def run_guarded(command, *args) -> int:
     try:
         command(*args)
     except tuple(EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # A bare MemoryError (or OSError) carries no message of its own.
+        message = str(e) or ("not enough memory" if isinstance(e, MemoryError) else repr(e))
+        print(f"error: {message}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
     return 0
 

@@ -25,8 +25,9 @@ it, so the column's population std is the amplitude.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .regression import (
     demean_columns,
     residualize_columns,
 )
+from .storage import Record, record_from_json
 
 __all__ = [
     "PhantomConfig",
@@ -61,28 +63,38 @@ _FACTOR_LOADING_HIGH = 0.8
 _PHYSIO_LOADING_STD = 0.3
 
 
-def _require_int(value, field: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{field} must be >= {minimum}, got {value}")
-    return value
+# Each config field's range rule, as stated in its message and as a test.
+_RANGE_RULES = (
+    ("n_subjects", "be >= 3", lambda v: v >= 3),
+    ("n_rois", "be >= 4", lambda v: v >= 4),
+    ("n_timepoints", "be >= 24", lambda v: v >= 24),
+    ("motion_amplitude_range", "satisfy 0 < low < high", lambda v: 0.0 < v[0] < v[1]),
+    ("artifact_gain", "be >= 0", lambda v: v >= 0.0),
+    ("artifact_length_scale", "be > 0", lambda v: v > 0.0),
+    ("n_aroma_components", "be >= 0", lambda v: v >= 0),
+    ("aroma_hmp_mixing", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("seed", "fit in 64 unsigned bits", lambda v: 0 <= v < 2**64),
+)
 
 
-def _require_float(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{field} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError as e:
-        raise ValidationError(f"{field} must be finite, got an integer beyond float range") from e
-    if not np.isfinite(out):
-        raise ValidationError(f"{field} must be finite, got {out}")
-    return out
+def _n_sources(n_rois: int) -> int:
+    return max(2, n_rois // 25)
+
+
+def _largest_arrays(cfg: "PhantomConfig") -> dict[str, tuple[int, int]]:
+    """Shapes of the biggest arrays `generate_cohort` allocates, by the fields that size them."""
+    n, r, p = cfg.n_timepoints, cfg.n_rois, cfg.n_aroma_components
+    return {
+        "n_rois": (r, r),  # the truth correlation and its Cholesky factor
+        "n_timepoints": (n, 24),  # the 24-parameter motion expansion
+        "n_timepoints and n_rois": (n, r),  # neural signal, artifact, timeseries
+        "n_timepoints and n_aroma_components": (n, p),  # component noise and components
+        "n_aroma_components and n_rois": (p, _n_sources(r)),  # component-to-source mixing
+    }
 
 
 @dataclass(frozen=True)
-class PhantomConfig:
+class PhantomConfig(Record):
     """Everything the generator needs; two identical configs give identical cohorts."""
 
     n_subjects: int
@@ -96,51 +108,22 @@ class PhantomConfig:
     seed: int
 
     def __post_init__(self):
-        _require_int(self.n_subjects, "n_subjects", 3)
-        _require_int(self.n_rois, "n_rois", 4)
-        _require_int(self.n_timepoints, "n_timepoints", 24)
-        rng_pair = self.motion_amplitude_range
-        if not isinstance(rng_pair, (tuple, list)) or len(rng_pair) != 2:
-            raise ValidationError(
-                f"motion_amplitude_range must be a (low, high) pair, got {rng_pair!r}"
-            )
-        low = _require_float(rng_pair[0], "motion_amplitude_range low")
-        high = _require_float(rng_pair[1], "motion_amplitude_range high")
-        if not (0.0 < low < high):
-            raise ValidationError(
-                f"motion_amplitude_range must satisfy 0 < low < high, got ({low}, {high})"
-            )
-        object.__setattr__(self, "motion_amplitude_range", (low, high))
-        gain = _require_float(self.artifact_gain, "artifact_gain")
-        if gain < 0.0:
-            raise ValidationError(f"artifact_gain must be >= 0, got {gain}")
-        object.__setattr__(self, "artifact_gain", gain)
-        scale = _require_float(self.artifact_length_scale, "artifact_length_scale")
-        if scale <= 0.0:
-            raise ValidationError(f"artifact_length_scale must be > 0, got {scale}")
-        object.__setattr__(self, "artifact_length_scale", scale)
-        _require_int(self.n_aroma_components, "n_aroma_components", 0)
-        mixing = _require_float(self.aroma_hmp_mixing, "aroma_hmp_mixing")
-        if not (0.0 <= mixing <= 1.0):
-            raise ValidationError(f"aroma_hmp_mixing must lie in [0, 1], got {mixing}")
-        object.__setattr__(self, "aroma_hmp_mixing", mixing)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        super().__post_init__()
+        for name, rule, holds in _RANGE_RULES:
+            if not holds(getattr(self, name)):
+                raise ValidationError(f"{name} must {rule}, got {getattr(self, name)}")
+        # Refused here, before anything is generated: NumPy cannot index an
+        # array of more than its largest signed index in bytes.
+        for sizing, shape in _largest_arrays(self).items():
+            if math.prod(shape) * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+                raise ValidationError(
+                    f"{sizing}: a {shape[0]} x {shape[1]} float64 array is more than "
+                    "NumPy can index"
+                )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PhantomConfig":
-        if not isinstance(raw, dict):
-            raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(raw) - set(names))
-        if unknown:
-            raise ValidationError(f"unknown config field {unknown[0]!r}")
-        missing = [name for name in names if name not in raw]
-        if missing:
-            raise ValidationError(f"missing config field {missing[0]!r}")
-        return cls(**raw)
+        return record_from_json(cls, raw)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -238,7 +221,7 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
         sigma, chol = _truth_structure(rng, r)
         truth_fc = FcMatrix(sigma, roi_labels)
 
-        n_sources = max(2, r // 25)
+        n_sources = _n_sources(r)
         source_idx = rng.choice(r, size=n_sources, replace=False)
         dist_to_source = np.linalg.norm(
             centroids[:, None, :] - centroids[source_idx][None, :, :], axis=2

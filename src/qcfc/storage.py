@@ -20,6 +20,11 @@ still can, since the connectivity products keep the caller's count. Every
 file is read and written as UTF-8. A file that cannot be opened or holds an
 invalid UTF-8 byte raises FileFormatError, a malformed file (exit code 4 in
 the CLI, 2 for the `phantom` config).
+
+The JSON records (the phantom config, the manifest and its subject entries,
+`run_info.json`, the QC report) share one rule, `Record`: at construction
+each field is checked against its annotation, and `record_from_json` refuses
+an unknown or missing field. Range and path rules stay in each record class.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ import csv
 import io
 import json
 import os
+import sys
+import typing
 import uuid
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, QcfcError
+from .errors import FileFormatError, QcfcError, ValidationError
 from .metrics import Parcellation
 from .pipelines import HMP_PARAM_LABELS, HeadMotion
 
@@ -48,6 +55,8 @@ __all__ = [
     "read_parcellation_csv",
     "write_json",
     "read_json",
+    "Record",
+    "record_from_json",
 ]
 
 PARCELLATION_HEADER = ("roi", "x_mm", "y_mm", "z_mm")
@@ -185,3 +194,62 @@ def read_json(path: Path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: invalid JSON: {e}") from e
+
+
+# What a field of each scalar annotation holds, in JSON's words.
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number"}
+
+
+class Record:
+    """Base of every JSON record, a frozen dataclass whose fields must hold their annotated types.
+
+    A subclass's `__post_init__` calls this one first, then checks its ranges.
+    """
+
+    def __post_init__(self):
+        for name, hint in typing.get_type_hints(type(self)).items():
+            object.__setattr__(self, name, _typed(getattr(self, name), hint, name))
+
+
+def _typed(value, hint, name: str):
+    """`value` as the type `hint` annotates, or a ValidationError naming the field `name`.
+
+    `str`, `int` (not a bool), finite `float` (an integer counts), `tuple[...]`
+    of these (a list counts) or a nested record (a JSON object counts).
+    """
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{name} must be a list, got {value!r}")
+        items = typing.get_args(hint)
+        items = items[:1] * len(value) if items[-1] is Ellipsis else items
+        if len(items) != len(value):
+            raise ValidationError(f"{name} must be a list of {len(items)} items, got {value!r}")
+        return tuple(_typed(v, h, f"{name}[{i}]") for i, (v, h) in enumerate(zip(value, items)))
+    if issubclass(hint, Record):
+        try:
+            return value if isinstance(value, hint) else record_from_json(hint, value)
+        except ValidationError as e:
+            raise ValidationError(f"{name}: {e}") from e
+    kinds = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValidationError(f"{name} must be {_JSON_TYPES[hint]}, got {value!r}")
+    if hint is not float:
+        return value
+    if not abs(value) <= sys.float_info.max:
+        shown = value if isinstance(value, float) else "an integer beyond float range"
+        raise ValidationError(f"{name} must be finite, got {shown}")
+    return float(value)
+
+
+def record_from_json(cls, raw):
+    """Build the record class `cls` from a JSON object holding exactly its fields."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"a record must be a JSON object, got {type(raw).__name__}")
+    names = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ValidationError(f"unknown field {unknown[0]!r}")
+    missing = [name for name in names if name not in raw]
+    if missing:
+        raise ValidationError(f"missing field {missing[0]!r}")
+    return cls(**raw)

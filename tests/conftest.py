@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,25 @@ SMALL_CONFIG = PhantomConfig(
     aroma_hmp_mixing=0.6,
     seed=7,
 )
+
+
+# A cohort small enough to run every command on in well under a second.
+TINY_CFG = {
+    "n_subjects": 5,
+    "n_rois": 6,
+    "n_timepoints": 40,
+    "motion_amplitude_range": [0.1, 1.5],
+    "artifact_gain": 1.0,
+    "artifact_length_scale": 40.0,
+    "n_aroma_components": 3,
+    "aroma_hmp_mixing": 0.6,
+    "seed": 3,
+}
+
+
+def write_config(path, **overrides):
+    path.write_text(json.dumps({**TINY_CFG, **overrides}))
+    return path
 
 
 @pytest.fixture(scope="session")

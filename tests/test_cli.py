@@ -7,28 +7,11 @@ import numpy as np
 import pytest
 
 from qcfc import ValidationError
-from qcfc.cli import cmd_qc, main
+from qcfc.cli import cmd_qc, main, run_guarded
 from qcfc.regression import demean_columns
 from qcfc.storage import read_matrix_csv
 
-TINY_CFG = {
-    "n_subjects": 5,
-    "n_rois": 6,
-    "n_timepoints": 40,
-    "motion_amplitude_range": [0.1, 1.5],
-    "artifact_gain": 1.0,
-    "artifact_length_scale": 40.0,
-    "n_aroma_components": 3,
-    "aroma_hmp_mixing": 0.6,
-    "seed": 3,
-}
-
-
-def write_config(path, **overrides):
-    raw = dict(TINY_CFG)
-    raw.update(overrides)
-    path.write_text(json.dumps(raw))
-    return path
+from .conftest import TINY_CFG, write_config
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +111,19 @@ class TestPhantomCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: Unable to allocate")
         assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("field", ["n_rois", "n_timepoints", "n_aroma_components"])
+    def test_config_too_large_for_numpy_exits_2(self, tmp_path, capsys, field):
+        # An array 2**62 long on a side is more bytes than NumPy can index,
+        # so NumPy would refuse it without allocating; the config is refused
+        # before generation starts.
+        cfg = write_config(tmp_path / "c.json", **{field: 2**62})
+        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: config: ")
+        assert field in err and "more than NumPy can index" in err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
@@ -779,10 +775,18 @@ class TestReportCommand:
         assert main(["report", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: report is missing or mistypes a field:")
+        assert err.startswith(f"error: {path}: {field}")
 
     def test_missing_report_exits_4(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 4
+
+
+def test_bare_memory_error_still_prints_a_message(capsys):
+    def exhausted():
+        raise MemoryError()
+
+    assert run_guarded(exhausted) == 2
+    assert capsys.readouterr().err == "error: not enough memory\n"
 
 
 class TestRecordBytes:

@@ -1,5 +1,6 @@
 import os
 import stat
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,16 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import qcfc.storage as storage
-from qcfc import FileFormatError, HeadMotion, Parcellation
+from qcfc import FileFormatError, HeadMotion, Parcellation, ValidationError
 from qcfc.pipelines import HMP_PARAM_LABELS
 from qcfc.storage import (
     PARCELLATION_HEADER,
+    Record,
     atomic_write_text,
     csv_text,
     read_json,
     read_matrix_csv,
     read_motion_csv,
     read_parcellation_csv,
+    record_from_json,
     write_json,
     write_matrix_csv,
     write_motion_csv,
@@ -284,6 +287,56 @@ def test_only_a_refused_value_is_a_malformed_file(monkeypatch, tmp_path, reader,
     path.write_text(text)
     with pytest.raises(MemoryError):
         reader(path)
+
+
+@dataclass(frozen=True)
+class Point(Record):
+    label: str
+    xyz: tuple[float, float, float]
+
+
+@dataclass(frozen=True)
+class Track(Record):
+    count: int
+    points: tuple[Point, ...]
+
+
+class TestRecord:
+    def test_json_values_become_the_annotated_types(self):
+        raw = {"count": 2, "points": [{"label": "a", "xyz": [1, 2.5, -3]}]}
+        track = record_from_json(Track, raw)
+        assert track == Track(2, (Point("a", (1.0, 2.5, -3.0)),))
+        assert type(track.points[0].xyz[0]) is float
+
+    @pytest.mark.parametrize(
+        "count, points, message",
+        [
+            (True, (), "count must be an integer, got True"),
+            (2.0, (), "count must be an integer, got 2.0"),
+            (1, "ab", "points must be a list, got 'ab'"),
+            (1, {"label": "a"}, "points must be a list"),
+            (1, ({"label": "a", "xyz": "abc"},), "points[0]: xyz must be a list, got 'abc'"),
+            (1, ({"label": "a", "xyz": [1, 2]},), "points[0]: xyz must be a list of 3 items"),
+            (1, (Point("a", (0, 0, 0)), 5), "points[1]: a record must be a JSON object, got int"),
+            (1, ({"label": None, "xyz": [0, 0, 0]},), "points[0]: label must be a string"),
+            (1, ({"label": "a", "xyz": [0, float("nan"), 0]},), "xyz[1] must be finite, got nan"),
+            (1, ({"label": "a", "xyz": [0, 10**400, 0]},), "beyond float range"),
+            (1, ({"label": "a", "xyz": [0, 0, 0], "w": 1},), "points[0]: unknown field 'w'"),
+            (1, ({"xyz": [0, 0, 0]},), "points[0]: missing field 'label'"),
+        ],
+    )
+    def test_a_python_caller_meets_the_same_check(self, count, points, message):
+        with pytest.raises(ValidationError) as err:
+            Track(count, points)
+        assert message in str(err.value)
+
+    def test_only_an_object_holding_exactly_the_fields(self):
+        with pytest.raises(ValidationError, match="a record must be a JSON object, got list"):
+            record_from_json(Track, [])
+        with pytest.raises(ValidationError, match="unknown field 'extra'"):
+            record_from_json(Track, {"count": 0, "points": [], "extra": 1})
+        with pytest.raises(ValidationError, match="missing field 'points'"):
+            record_from_json(Track, {"count": 0})
 
 
 class TestJson:
