@@ -17,7 +17,8 @@ motion whose regressors or mean-FD sums overflow float64); 5 degenerate
 input (too few subjects, constant mean FD). Data and JSON files are read as
 UTF-8; a file with an invalid byte is malformed (exit 4, or 2 for the
 `phantom` config). Paths inside a manifest are relative to the manifest's
-directory.
+directory. A `qcfc.errors.prefixed` context around each subject's loading,
+correction and scoring (never the loop) names that subject once in any error.
 
 The JSON records (config, manifest, `run_info.json`, QC report) are frozen
 dataclasses on `qcfc.storage.Record`, which checks each field's type from its
@@ -43,6 +44,7 @@ from .errors import (
     FileFormatError,
     SchemaError,
     ValidationError,
+    prefixed,
 )
 from .metrics import (
     Parcellation,
@@ -193,17 +195,15 @@ def _write_record(path: Path, record: Record) -> None:
 def _read_record(path: Path, cls: type[Record]) -> Record:
     """Read a `cls` record of the current schema version; any error names the file."""
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: a record must be a JSON object")
-    version = raw.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}"
-        )
-    try:
+    with prefixed(str(path)):
+        if not isinstance(raw, dict):
+            raise SchemaError("a record must be a JSON object")
+        version = raw.pop("schema_version", None)
+        if version != SCHEMA_VERSION:
+            raise SchemaError(
+                f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}"
+            )
         return record_from_json(cls, raw)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from e
 
 
 def _require_bins(bins: int) -> None:
@@ -267,7 +267,7 @@ def load_manifest(manifest_path: Path) -> tuple[CohortManifest, Path]:
 
 def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
     """Load one subject's four files, naming the subject on failure."""
-    try:
+    with prefixed(f"subject {paths.subject_id!r}"):
         ts_values, ts_labels = read_matrix_csv(base / paths.ts)
         if ts_values.shape[0] < 2 or ts_values.shape[1] < 1:
             raise FileFormatError(
@@ -283,16 +283,12 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
             aroma=DesignMatrix(aroma_values, aroma_labels, RegressorSource.AROMA),
             physio=DesignMatrix(physio_values, physio_labels, RegressorSource.PHYSIO),
         )
-    except (FileFormatError, DimensionError, DataIntegrityError) as e:
-        raise FileFormatError(f"subject {paths.subject_id!r}: {e}") from e
 
 
 def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
     """Generate the cohort a config describes, write it under `out_dir`, and return it."""
-    try:
+    with prefixed("config", as_type=ValidationError):
         cfg = PhantomConfig.from_dict(read_json(Path(config_path)))
-    except (FileFormatError, ValidationError) as e:
-        raise ValidationError(f"config: {e}") from e
     cohort = generate_cohort(cfg)
     manifest_path = write_cohort(cohort, Path(out_dir), cfg)
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
@@ -311,13 +307,11 @@ def correct_cohort(
     spec = PipelineSpec(kind)
     n_subjects = 0
     for n_subjects, bundle in enumerate(bundles, 1):
-        try:
+        with prefixed(f"subject {bundle.subject_id!r}"):
             corrected = run_pipeline(bundle, spec)
-        except DataIntegrityError as e:
-            raise DataIntegrityError(f"subject {bundle.subject_id!r}: {e}") from e
-        write_matrix_csv(
-            out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
-        )
+            write_matrix_csv(
+                out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
+            )
         yield bundle.subject_id, bundle.motion, corrected
     _write_record(out / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
@@ -345,18 +339,15 @@ def score_cohort(
     """
     fcs, mfds = [], []
     for subject_id, motion, ts in subjects:
-        if ts.column_labels != parcellation.roi_labels:
-            raise SchemaError(f"subject {subject_id!r}: ROI labels differ from the parcellation")
-        if motion.n_timepoints != ts.n_timepoints:
-            raise DimensionError(
-                f"subject {subject_id!r}: motion has {motion.n_timepoints} rows, "
-                f"timeseries has {ts.n_timepoints}"
-            )
-        try:
+        with prefixed(f"subject {subject_id!r}"):
+            if ts.column_labels != parcellation.roi_labels:
+                raise SchemaError("ROI labels differ from the parcellation")
+            if motion.n_timepoints != ts.n_timepoints:
+                raise DimensionError(
+                    f"motion has {motion.n_timepoints} rows, timeseries has {ts.n_timepoints}"
+                )
             mfds.append(mean_fd(framewise_displacement(motion)))
-        except DataIntegrityError as e:
-            raise DataIntegrityError(f"subject {subject_id!r}: {e}") from e
-        fcs.append(fc_matrix(ts))
+            fcs.append(fc_matrix(ts))
 
     report = qcfc(fcs, np.array(mfds))
     rho, p = distance_dependence(report, edge_lengths(parcellation))
@@ -401,14 +392,12 @@ def cmd_qc(
     def subjects() -> Iterator[Subject]:
         for paths in manifest.subjects:
             sid = paths.subject_id
-            try:
+            with prefixed(f"subject {sid!r}"):
                 motion = read_motion_csv(base / paths.motion)
                 ts_path = base / paths.ts if raw else Path(corrected_dir) / f"{sid}.csv"
                 if not raw and not ts_path.is_file():
                     raise FileFormatError(f"missing corrected file {ts_path}")
                 ts = SignalMatrix(*read_matrix_csv(ts_path))
-            except (FileFormatError, DimensionError) as e:
-                raise FileFormatError(f"subject {sid!r}: {e}") from e
             yield sid, motion, ts
 
     score_cohort(pipeline_name, parc, subjects(), Path(report_path), bins)

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule that adds context to them."""
+
+from contextlib import contextmanager
 
 
 class QcfcError(Exception):
@@ -27,3 +29,17 @@ class ValidationError(QcfcError):
 
 class FileFormatError(QcfcError):
     """A data file could not be parsed in the documented format."""
+
+
+@contextmanager
+def prefixed(prefix: str, as_type: type[QcfcError] | None = None):
+    """Re-raise any QcfcError from the body as `"<prefix>: <message>"`, chained to the original.
+
+    Every re-raise that names the subject, file or field at fault goes
+    through here. The error keeps its class (so its exit code) unless
+    `as_type` is given; anything else passes through untouched.
+    """
+    try:
+        yield
+    except QcfcError as e:
+        raise (as_type or type(e))(f"{prefix}: {e}") from e

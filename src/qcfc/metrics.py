@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DataIntegrityError,
@@ -204,6 +203,8 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _t_pvalues(r: np.ndarray, m: int) -> np.ndarray:
     """Two-sided p for each correlation of m samples via the t transform; |r| = 1 gives 0."""
+    # Imported here, so that only a command that computes a p-value pays for loading it.
+    import scipy.special
     df = m - 2
     p = np.zeros_like(r)
     # Written so that a NaN r keeps a NaN p.

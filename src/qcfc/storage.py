@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, QcfcError, ValidationError
+from .errors import FileFormatError, ValidationError, prefixed
 from .metrics import Parcellation
 from .pipelines import HMP_PARAM_LABELS, HeadMotion
 
@@ -165,10 +165,8 @@ def write_motion_csv(path: Path, motion: HeadMotion) -> None:
 
 def read_motion_csv(path: Path) -> HeadMotion:
     _, _, values = _read_table(path, 0, HMP_PARAM_LABELS)
-    try:
+    with prefixed(str(path), as_type=FileFormatError):
         return HeadMotion(values)
-    except QcfcError as e:
-        raise FileFormatError(f"{path}: {e}") from e
 
 
 def write_parcellation_csv(path: Path, parc: Parcellation) -> None:
@@ -178,10 +176,8 @@ def write_parcellation_csv(path: Path, parc: Parcellation) -> None:
 
 def read_parcellation_csv(path: Path) -> Parcellation:
     _, labels, coords = _read_table(path, 1, PARCELLATION_HEADER)
-    try:
+    with prefixed(str(path), as_type=FileFormatError):
         return Parcellation(tuple(label for (label,) in labels), coords)
-    except QcfcError as e:
-        raise FileFormatError(f"{path}: {e}") from e
 
 
 def write_json(path: Path, obj) -> None:
@@ -226,10 +222,8 @@ def _typed(value, hint, name: str):
             raise ValidationError(f"{name} must be a list of {len(items)} items, got {value!r}")
         return tuple(_typed(v, h, f"{name}[{i}]") for i, (v, h) in enumerate(zip(value, items)))
     if issubclass(hint, Record):
-        try:
+        with prefixed(name):
             return value if isinstance(value, hint) else record_from_json(hint, value)
-        except ValidationError as e:
-            raise ValidationError(f"{name}: {e}") from e
     kinds = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValidationError(f"{name} must be {_JSON_TYPES[hint]}, got {value!r}")
