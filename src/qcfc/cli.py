@@ -14,7 +14,8 @@ or unknown field in a JSON record, or not enough memory (for example a
 phantom config too large to generate); 3 filesystem failure (unwritable
 output); 4 malformed, missing or inconsistent data file (including finite
 motion whose regressors or mean-FD sums overflow float64); 5 degenerate
-input (too few subjects, constant mean FD). Data and JSON files are read as
+input (too few subjects, constant mean FD, a pipeline stage that leaves
+fewer than 2 residual degrees of freedom). Data and JSON files are read as
 UTF-8; a file with an invalid byte is malformed (exit 4, or 2 for the
 `phantom` config). Paths inside a manifest are relative to the manifest's
 directory. A `qcfc.errors.prefixed` context around each subject's loading,

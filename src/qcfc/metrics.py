@@ -9,15 +9,16 @@ correlate those per-edge values with inter-ROI Euclidean distance
 (distance dependence). Significance uses the t transform with m - 2
 degrees of freedom for both Pearson and Spearman; no permutation tests.
 
-Edges whose connectivity does not vary across subjects have no defined
-QC-FC value: they are excluded pairwise from the median and the distance
-dependence, stored as NaN, and counted.
+Every correlation here calls a column varying iff sqrt(ss) > n * eps * max|x|
+(`regression._varies`). Edges whose connectivity does not vary across
+subjects have no defined QC-FC value: they are excluded pairwise from the
+median and the distance dependence, stored as NaN, and counted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .pipelines import HeadMotion
-from .regression import SignalMatrix, _validated_labels, _validated_matrix
+from .regression import SignalMatrix, _validated_labels, _validated_matrix, _varies
 
 __all__ = [
     "FcMatrix",
@@ -111,19 +112,19 @@ class Parcellation:
 
 @dataclass(frozen=True)
 class QcFcReport:
-    """Per-edge QC-FC values plus summary statistics.
+    """Per-edge QC-FC values plus the summary statistics they fix.
 
-    `edge_qcfc` and `edge_pvalues` hold NaN at undefined edges (those with
-    zero connectivity variance across subjects). Both are frozen read-only
-    at construction; distance dependence is computed from a report by
-    `distance_dependence`, not stored in it.
+    `edge_qcfc` and `edge_pvalues` hold NaN at undefined edges. Both are
+    frozen read-only at construction, which derives `median_abs_qcfc` (NaN
+    if no edge is defined) and `undefined_edge_count` from `edge_qcfc`.
+    Distance dependence is computed by `distance_dependence`, not stored.
     """
 
     edge_qcfc: np.ndarray
     edge_pvalues: np.ndarray
-    median_abs_qcfc: float
     n_subjects: int
-    undefined_edge_count: int = 0
+    median_abs_qcfc: float = field(init=False)
+    undefined_edge_count: int = field(init=False)
 
     def __post_init__(self):
         r_vals = np.array(self.edge_qcfc, dtype=float)
@@ -131,17 +132,19 @@ class QcFcReport:
         if r_vals.shape != p_vals.shape or r_vals.ndim != 1:
             raise DimensionError("edge r and p vectors must be 1-d and the same length")
         defined = ~np.isnan(r_vals)
-        if int((~defined).sum()) != self.undefined_edge_count:
-            raise DimensionError("undefined_edge_count does not match NaN count")
+        median_abs = math.nan
         if defined.any():
             if r_vals[defined].min() < -1.0 or r_vals[defined].max() > 1.0:
                 raise DataIntegrityError("edge QC-FC values must lie in [-1, 1]")
             if p_vals[defined].min() < 0.0 or p_vals[defined].max() > 1.0:
                 raise DataIntegrityError("edge p-values must lie in [0, 1]")
+            median_abs = float(np.median(np.abs(r_vals[defined])))
         r_vals.setflags(write=False)
         p_vals.setflags(write=False)
         object.__setattr__(self, "edge_qcfc", r_vals)
         object.__setattr__(self, "edge_pvalues", p_vals)
+        object.__setattr__(self, "median_abs_qcfc", median_abs)
+        object.__setattr__(self, "undefined_edge_count", int((~defined).sum()))
 
     @property
     def n_edges(self) -> int:
@@ -220,7 +223,7 @@ def pearson(x, y) -> tuple[float, float]:
     The denominator is one square root of the product of the two sums of
     squares, so exactly collinear inputs land on exactly +/-1 instead of an
     ulp short; r is clamped to [-1, 1] against rounding the other way.
-    Finite inputs whose sums of squares overflow are refused.
+    Inputs that do not vary or whose sums of squares overflow are refused.
     """
     xa, ya = _as_pair(x, y)
     with np.errstate(over="ignore"):
@@ -230,7 +233,7 @@ def pearson(x, y) -> tuple[float, float]:
         ssy = float(yc @ yc)
     if not (math.isfinite(ssx) and math.isfinite(ssy)):
         raise DataIntegrityError("correlation input is too large: a sum of squares overflows")
-    if ssx == 0.0 or ssy == 0.0:
+    if not (_varies(ssx, xa) and _varies(ssy, ya)):
         raise DegenerateInputError("correlation is undefined for a constant input")
     prod = ssx * ssy
     denom = math.sqrt(prod) if math.isfinite(prod) else math.sqrt(ssx) * math.sqrt(ssy)
@@ -254,13 +257,15 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 
 def spearman(x, y) -> tuple[float, float]:
-    """Rank correlation: Pearson on average ranks, ties get the mean rank."""
+    """Rank correlation: Pearson on average ranks, ties get the mean rank.
+
+    Rounding can rank a constant input, so the values must vary (`_varies`).
+    """
     xa, ya = _as_pair(x, y)
-    rx = _average_ranks(xa)
-    ry = _average_ranks(ya)
-    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
-        raise DegenerateInputError("rank correlation is undefined for a constant input")
-    return pearson(rx, ry)
+    with np.errstate(over="ignore"):
+        if not (_varies(xa.var() * xa.size, xa) and _varies(ya.var() * ya.size, ya)):
+            raise DegenerateInputError("correlation is undefined for a constant input")
+    return pearson(_average_ranks(xa), _average_ranks(ya))
 
 
 def fc_matrix(ts: SignalMatrix) -> FcMatrix:
@@ -278,8 +283,7 @@ def fc_matrix(ts: SignalMatrix) -> FcMatrix:
     centered = values - values.mean(axis=0, keepdims=True)
     gram = centered.T @ centered
     ss = np.diag(gram).copy()
-    tol = n * np.finfo(float).eps * np.max(np.abs(values), axis=0)
-    dead = np.flatnonzero(np.sqrt(ss) <= tol)
+    dead = np.flatnonzero(~_varies(ss, values))
     if dead.size:
         raise DegenerateInputError(f"ROI column {labels[dead[0]]!r} is constant")
     corr = gram / np.sqrt(np.multiply.outer(ss, ss))
@@ -297,8 +301,8 @@ def edge_lengths(p: Parcellation) -> np.ndarray:
 def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
     """Correlate each edge's connectivity with mean FD across subjects.
 
-    Undefined edges (no connectivity variance across subjects) carry NaN
-    and are excluded from the median.
+    Undefined edges (connectivity that does not vary across subjects)
+    carry NaN and are excluded from the report's median.
     """
     mfd = np.asarray(mfd_per_subject, dtype=float).ravel()
     s = len(fc_per_subject)
@@ -319,15 +323,12 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
         ssg = float(g @ g)
     if not math.isfinite(ssg):
         raise DataIntegrityError("mean FD is too large: its sum of squares overflows")
-    gn = math.sqrt(ssg)
-    if gn == 0.0 or gn <= s * np.finfo(float).eps * np.max(np.abs(mfd), initial=0.0):
+    if not _varies(ssg, mfd):
         raise DegenerateInputError("mean FD is constant across subjects")
 
     centered = edges - edges.mean(axis=0, keepdims=True)
     ss_edges = np.einsum("ij,ij->j", centered, centered)
-    norms = np.sqrt(ss_edges)
-    scale = np.max(np.abs(edges), axis=0, initial=0.0)
-    defined = norms > s * np.finfo(float).eps * scale
+    defined = _varies(ss_edges, edges)
 
     r_vals = np.full(edges.shape[1], np.nan)
     p_vals = np.full(edges.shape[1], np.nan)
@@ -336,17 +337,7 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
         r_def = np.clip(r_def, -1.0, 1.0)
         r_vals[defined] = r_def
         p_vals[defined] = _t_pvalues(r_def, s)
-        median_abs = float(np.median(np.abs(r_def)))
-    else:
-        median_abs = float("nan")
-
-    return QcFcReport(
-        edge_qcfc=r_vals,
-        edge_pvalues=p_vals,
-        median_abs_qcfc=median_abs,
-        n_subjects=s,
-        undefined_edge_count=int((~defined).sum()),
-    )
+    return QcFcReport(edge_qcfc=r_vals, edge_pvalues=p_vals, n_subjects=s)
 
 
 def distance_dependence(report: QcFcReport, lengths) -> tuple[float, float]:

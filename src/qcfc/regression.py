@@ -188,6 +188,16 @@ def _check_rows(Y: SignalMatrix, X: DesignMatrix) -> None:
         )
 
 
+def _varies(ss, values: np.ndarray):
+    """Whether sqrt(ss) > n * eps * max|x| for each column of `values` (n rows).
+
+    `ss` holds centred sums of squares; a smaller spread is what rounding
+    leaves in a constant column. A scalar `ss` with a 1-d `values` gives one bool.
+    """
+    n = values.shape[0]
+    return np.sqrt(ss) > n * np.finfo(float).eps * np.max(np.abs(values), axis=0, initial=0.0)
+
+
 def demean_columns(arr: np.ndarray) -> np.ndarray:
     """Subtract each column's mean.
 
@@ -213,14 +223,23 @@ def residualize_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     max(n, k) * eps * |R[0, 0]|, so exactly collinear or zero columns drop
     out. The projection is applied twice; the second pass clears the
     numerical correlation floor left by the first.
+
+    A design leaving n - 1 - rank < 2 residual degrees of freedom is refused:
+    its residuals would be rounding noise (`fc_matrix` asks 3 rows of raw data).
     """
-    if x.shape[1] == 0:
-        return y.copy()
-    q, r, _ = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    scale = diag[0] if diag.size else 0.0
-    tol = max(x.shape) * np.finfo(float).eps * scale
-    rank = int(np.count_nonzero(diag > tol))
+    n, k = x.shape
+    rank = 0
+    if k:
+        q, r, _ = scipy.linalg.qr(x, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        scale = diag[0] if diag.size else 0.0
+        tol = max(x.shape) * np.finfo(float).eps * scale
+        rank = int(np.count_nonzero(diag > tol))
+    if n - 1 - rank < 2:
+        raise DegenerateInputError(
+            f"a design of rank {rank} on {n} timepoints leaves {n - 1 - rank} residual"
+            " degrees of freedom; need at least 2"
+        )
     if rank == 0:
         return y.copy()
     qb = q[:, :rank]
@@ -291,20 +310,15 @@ def sequential_residualize(
 def max_abs_correlation(E: SignalMatrix, X: DesignMatrix) -> float:
     """Largest |Pearson r| over all (signal column, design column) pairs.
 
-    Columns that are constant to within rounding of their own scale are
-    skipped. If one side has no varying column at all there is nothing to
-    correlate.
+    Columns that do not vary (`_varies`) are skipped. If one side has no
+    varying column at all there is nothing to correlate.
     """
     _check_rows(E, X)
-    n = E.n_timepoints
-    eps = np.finfo(float).eps
 
     def varying(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         centered = demean_columns(values)
         ss = np.einsum("ij,ij->j", centered, centered)
-        norms = np.sqrt(ss)
-        col_scale = np.max(np.abs(values), axis=0, initial=0.0)
-        mask = norms > n * eps * np.maximum(col_scale, 1e-300)
+        mask = _varies(ss, values)
         return centered[:, mask], ss[mask], mask
 
     e_centered, e_ss, e_mask = varying(E.values)

@@ -109,9 +109,15 @@ def oracle_qcfc(fc_values_per_subject, mfd):
             r, p = oracle_pearson(vals, mfd)
             edge_r.append(r)
             edge_p.append(p)
-    defined = [r for r in edge_r if not math.isnan(r)]
-    median_abs = oracle_median([abs(r) for r in defined]) if defined else float("nan")
+    median_abs, _ = oracle_report_summary(edge_r)
     return np.array(edge_r), np.array(edge_p), median_abs
+
+
+def oracle_report_summary(edge_r):
+    """Median |r| over the defined (non-NaN) edges, NaN if there are none, and the NaN count."""
+    defined = [abs(r) for r in edge_r if not math.isnan(r)]
+    median_abs = oracle_median(defined) if defined else float("nan")
+    return median_abs, len(edge_r) - len(defined)
 
 
 def oracle_edge_lengths(centroids):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcfc import (
@@ -30,6 +30,7 @@ from qcfc import (
     spearman,
 )
 from qcfc.metrics import QcFcReport, _average_ranks
+from qcfc.regression import max_abs_correlation
 
 from .oracles import (
     oracle_distance_dependence,
@@ -38,6 +39,7 @@ from .oracles import (
     oracle_pearson,
     oracle_qcfc,
     oracle_ranks,
+    oracle_report_summary,
     oracle_spearman,
 )
 
@@ -396,17 +398,9 @@ class TestQcfc:
 
 def report_from_values(edge_r, n_subjects=10):
     edge_r = np.asarray(edge_r, dtype=float)
-    undefined = int(np.isnan(edge_r).sum())
-    defined = edge_r[~np.isnan(edge_r)]
     p = np.full_like(edge_r, np.nan)
     p[~np.isnan(edge_r)] = 0.5
-    return QcFcReport(
-        edge_qcfc=edge_r,
-        edge_pvalues=p,
-        median_abs_qcfc=float(np.median(np.abs(defined))),
-        n_subjects=n_subjects,
-        undefined_edge_count=undefined,
-    )
+    return QcFcReport(edge_qcfc=edge_r, edge_pvalues=p, n_subjects=n_subjects)
 
 
 class TestQcFcReport:
@@ -416,6 +410,67 @@ class TestQcFcReport:
             report.median_abs_qcfc = 0.0
         with pytest.raises(ValueError):
             report.edge_qcfc[0] = 0.5
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1.0, 1.0), st.just(float("nan"))), min_size=1, max_size=30
+        )
+    )
+    @example([float("nan"), float("nan")])
+    @example([0.25, float("nan"), -0.75, 0.5])
+    def test_summary_is_derived_from_edge_values(self, edge_r):
+        report = report_from_values(edge_r)
+        median_abs, undefined = oracle_report_summary(edge_r)
+        assert report.undefined_edge_count == undefined
+        assert report.defined_edge_count == len(edge_r) - undefined
+        if np.isnan(median_abs):
+            assert np.isnan(report.median_abs_qcfc)
+        else:
+            assert report.median_abs_qcfc == median_abs
+
+    def test_summary_is_not_an_argument(self):
+        edges = {"edge_qcfc": [0.1, 0.2], "edge_pvalues": [0.5, 0.5], "n_subjects": 3}
+        for summary in ({"median_abs_qcfc": 0.15}, {"undefined_edge_count": 0}):
+            with pytest.raises(TypeError):
+                QcFcReport(**edges, **summary)
+
+
+def one_ulp_apart(base, ups):
+    """`base` where `ups` is 0 and the next float above it where `ups` is 1."""
+    return np.where(np.array(ups) == 1, np.nextafter(base, np.inf), base)
+
+
+class TestOneVariationRule:
+    """A column that differs only by rounding is constant to every correlation."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+        st.lists(st.integers(0, 1), min_size=5, max_size=40),
+        st.floats(1e-3, 1e3),
+    )
+    # 0.1 + 0.2 is 0.30000000000000004, one float above 0.3.
+    @example(0.3, [1, 0, 1, 0, 0], 1.0)
+    def test_rounding_spread_is_constant_and_real_spread_varies(self, base, ups, scale):
+        flat = one_ulp_apart(base, ups)
+        varying = scale * np.linspace(-1.0, 1.0, flat.size) + base
+        pair = SignalMatrix(np.column_stack([varying, flat]), ("varying", "flat"))
+
+        with pytest.raises(DegenerateInputError, match="'flat'"):
+            fc_matrix(pair)
+        assert fc_matrix(SignalMatrix(np.column_stack([varying, varying]))).values[0, 1] == 1.0
+
+        for correlate in (pearson, spearman):
+            for args in ((flat, varying), (varying, flat)):
+                with pytest.raises(DegenerateInputError, match="constant input"):
+                    correlate(*args)
+            assert correlate(varying, varying)[0] == 1.0
+
+        design = DesignMatrix(varying[:, None], ("varying",), RegressorSource.AROMA)
+        with pytest.raises(DegenerateInputError):
+            max_abs_correlation(SignalMatrix(flat[:, None]), design)
+        assert max_abs_correlation(pair, design) >= 1.0 - 1e-12
 
 
 class TestDistanceDependence:

@@ -80,6 +80,19 @@ class TestOlsResidualize:
         resid = ols_residualize(SignalMatrix(y), design(np.zeros((10, 0))))
         assert np.allclose(resid.values, demean_columns(y), atol=1e-14)
 
+    @pytest.mark.parametrize("rank", [0, 3, 4])
+    def test_design_must_leave_two_residual_degrees_of_freedom(self, rank):
+        rng = np.random.default_rng(7)
+        n = rank + 3
+        x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, 6))
+        y = SignalMatrix(rng.standard_normal((n, 2)))
+        ols_residualize(y, design(x))
+        short = design(x[:-1])
+        with pytest.raises(DegenerateInputError, match="leaves 1 residual degrees of freedom"):
+            ols_residualize(SignalMatrix(y.values[:-1]), short)
+        with pytest.raises(DegenerateInputError, match="leaves 1 residual degrees of freedom"):
+            sequential_residualize(SignalMatrix(y.values[:-1]), [short])
+
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(5)
         y = rng.standard_normal((20, 3))

@@ -130,3 +130,21 @@ def test_degenerate_subject_file_names_the_subject(
     err = capsys.readouterr().err
     assert_one_line_naming_the_subject(err)
     assert message in err
+
+
+@pytest.mark.parametrize("pipeline", ["concat", "seq-hmp-aroma-physio", "seq-aroma-hmp-physio"])
+def test_design_without_residual_degrees_of_freedom_names_the_subject(
+    cohort, tmp_path, capsys, pipeline
+):
+    # On 10 rows the motion expansion alone has rank 9 = n - 1: the corrected
+    # timeseries would be rounding noise.
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data)
+    for path in data.glob("sub-*/*.csv"):
+        path.write_text("\n".join(path.read_text().splitlines()[:11]) + "\n")
+    argv = ["correct", "--manifest", str(data / "manifest.json"), "--pipeline", pipeline]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: subject 'sub-000': ") and len(err.splitlines()) == 1
+    assert "leaves 0 residual degrees of freedom; need at least 2" in err
+    assert not (tmp_path / "out" / "sub-000.csv").exists()
