@@ -45,7 +45,6 @@ from .regression import (
     RegressorSource,
     SignalMatrix,
     concat_designs,
-    demean,
     max_abs_correlation,
     ols_residualize,
     sequential_residualize,
@@ -65,7 +64,6 @@ __all__ = [
     "RegressorSource",
     "DesignMatrix",
     "SignalMatrix",
-    "demean",
     "ols_residualize",
     "concat_designs",
     "sequential_residualize",

@@ -13,13 +13,17 @@ histogram bin count below 1), unknown pipeline, schema mismatch, a mistyped
 or unknown field in a JSON record, or not enough memory (for example a
 phantom config too large to generate); 3 filesystem failure (unwritable
 output); 4 malformed, missing or inconsistent data file (including finite
-motion whose regressors or mean-FD sums overflow float64); 5 degenerate
-input (too few subjects, constant mean FD, a pipeline stage that leaves
-fewer than 2 residual degrees of freedom). Data and JSON files are read as
-UTF-8; a file with an invalid byte is malformed (exit 4, or 2 for the
-`phantom` config). Paths inside a manifest are relative to the manifest's
-directory. A `qcfc.errors.prefixed` context around each subject's loading,
-correction and scoring (never the loop) names that subject once in any error.
+motion whose regressors or mean-FD sums overflow float64, and a corrected
+directory whose `run_info.json` counts another number of subjects than the
+manifest lists); 5 degenerate input (too few subjects, constant mean FD, a
+pipeline stage that leaves fewer than 2 residual degrees of freedom). Data
+and JSON files are read as UTF-8; a file with an invalid byte is malformed
+(exit 4, or 2 for the `phantom` config). Paths inside a manifest are
+relative to the manifest's directory. `correct` creates its output directory
+just before it writes the first subject, so a run that fails on that subject
+leaves none behind. A `qcfc.errors.prefixed` context around each subject's
+loading, correction and scoring (never the loop) names that subject once in
+any error.
 
 The JSON records (config, manifest, `run_info.json`, QC report) are frozen
 dataclasses on `qcfc.storage.Record`, which checks each field's type from its
@@ -302,14 +306,17 @@ def correct_cohort(
 ) -> Iterator[Subject]:
     """Correct and write each subject to `out/<subject_id>.csv`, yielding it as it is written.
 
-    After the last subject, writes `run_info.json` and prints a summary line.
+    `out` is created just before the first subject is written, so a run that
+    fails on its first subject leaves none. After the last subject, writes
+    `run_info.json` and prints a summary line.
     """
-    out.mkdir(parents=True, exist_ok=True)
     spec = PipelineSpec(kind)
     n_subjects = 0
     for n_subjects, bundle in enumerate(bundles, 1):
         with prefixed(f"subject {bundle.subject_id!r}"):
             corrected = run_pipeline(bundle, spec)
+            if n_subjects == 1:
+                out.mkdir(parents=True, exist_ok=True)
             write_matrix_csv(
                 out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
             )
@@ -372,11 +379,9 @@ def score_cohort(
     print(f"dist_dependence_p: {run_report.dist_dependence_p:.6f}")
 
 
-def cmd_qc(
-    manifest_path: str, corrected_dir: str | None, raw: bool, report_path: str, bins: int = 50
-) -> None:
-    if raw == (corrected_dir is not None):
-        raise ValidationError("exactly one of --corrected and --raw is required")
+def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins: int) -> None:
+    """Score the raw timeseries (`corrected_dir` None) or a directory written by `correct`."""
+    raw = corrected_dir is None
     _require_bins(bins)
     manifest, base = load_manifest(Path(manifest_path))
     parc = read_parcellation_csv(base / manifest.parcellation_path)
@@ -388,7 +393,13 @@ def cmd_qc(
             raise FileFormatError(
                 f"{corrected_dir} has no {RUN_INFO_NAME}; run `correct` into this directory first"
             )
-        pipeline_name = _read_record(info_path, RunInfo).pipeline
+        info = _read_record(info_path, RunInfo)
+        if info.n_subjects != len(manifest.subjects):
+            raise DimensionError(
+                f"{info_path}: corrected {info.n_subjects} subjects,"
+                f" the manifest lists {len(manifest.subjects)}"
+            )
+        pipeline_name = info.pipeline
 
     def subjects() -> Iterator[Subject]:
         for paths in manifest.subjects:
@@ -458,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--raw", action="store_true", help="use uncorrected timeseries")
     p_qc.add_argument("--report", required=True, help="output report JSON path")
     p_qc.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    p_qc.set_defaults(run=lambda a: cmd_qc(a.manifest, a.corrected, a.raw, a.report, a.bins))
+    p_qc.set_defaults(run=lambda a: cmd_qc(a.manifest, a.corrected, a.report, a.bins))
 
     p_report = sub.add_parser("report", help="compare QC reports side by side")
     p_report.add_argument("reports", nargs="+", help="report JSON paths")

@@ -150,29 +150,27 @@ class QcFcReport:
     def n_edges(self) -> int:
         return int(self.edge_qcfc.shape[0])
 
-    @property
-    def defined_edge_count(self) -> int:
-        return self.n_edges - self.undefined_edge_count
+
+# Power et al. 2012 convert rotations to arc length on a 50 mm head sphere.
+_HEAD_RADIUS_MM = 50.0
 
 
-def framewise_displacement(motion: HeadMotion, radius_mm: float = 50.0) -> np.ndarray:
+def framewise_displacement(motion: HeadMotion) -> np.ndarray:
     """Per-timepoint displacement: sum of absolute backward differences.
 
     Translations contribute in mm directly; rotations (radians) are
-    converted to arc length on a sphere of `radius_mm`. The first frame has
-    no predecessor and gets 0 by convention. Per-frame sums are correctly
-    rounded (math.fsum) so hand-checkable decimal examples come out exact.
-    A frame whose displacement overflows float64 is inf, which `mean_fd`
-    refuses.
+    converted to arc length on a sphere of fixed radius 50 mm. The first
+    frame has no predecessor and gets 0 by convention. Per-frame sums are
+    correctly rounded (math.fsum) so hand-checkable decimal examples come
+    out exact. A frame whose displacement overflows float64 is inf, which
+    `mean_fd` refuses.
     """
-    if not np.isfinite(radius_mm) or radius_mm <= 0:
-        raise DegenerateInputError(f"radius_mm must be positive and finite, got {radius_mm}")
     with np.errstate(over="ignore"):
         diffs = np.abs(np.diff(motion.values, axis=0))
     fd = np.zeros(motion.n_timepoints)
     for t, row in enumerate(diffs, start=1):
         try:
-            fd[t] = math.fsum(row[:3]) + radius_mm * math.fsum(row[3:])
+            fd[t] = math.fsum(row[:3]) + _HEAD_RADIUS_MM * math.fsum(row[3:])
         except OverflowError:  # finite terms whose exact sum is beyond float64
             fd[t] = math.inf
     return fd

@@ -120,10 +120,6 @@ class SubjectBundle:
                 f"(white-matter mean, non-brain mean), got {self.physio.k}"
             )
 
-    @property
-    def n_timepoints(self) -> int:
-        return self.ts.n_timepoints
-
 
 def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
     """Expand 6 motion parameters to the standard 24-regressor block.

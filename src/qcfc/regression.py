@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +31,6 @@ __all__ = [
     "RegressorSource",
     "DesignMatrix",
     "SignalMatrix",
-    "demean",
     "demean_columns",
     "residualize_columns",
     "ols_residualize",
@@ -209,13 +208,6 @@ def demean_columns(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def demean(m: SignalMatrix | DesignMatrix) -> SignalMatrix | DesignMatrix:
-    """Return a copy of a signal or design matrix with zero-mean columns."""
-    if not is_dataclass(m):
-        raise TypeError(f"demean expects a SignalMatrix or DesignMatrix, got {type(m).__name__}")
-    return replace(m, values=demean_columns(m.values))
-
-
 def residualize_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Residualize already-demeaned arrays: y (n, m) against x (n, k).
 
@@ -260,20 +252,15 @@ def ols_residualize(Y: SignalMatrix, X: DesignMatrix) -> SignalMatrix:
     return SignalMatrix(e, Y.column_labels)
 
 
-def concat_designs(
-    blocks: Sequence[DesignMatrix], n_timepoints: int | None = None
-) -> DesignMatrix:
+def concat_designs(blocks: Sequence[DesignMatrix]) -> DesignMatrix:
     """Column-concatenate blocks into one MIXED design.
 
     Column labels gain a source prefix so provenance survives the merge.
-    An empty block list carries no row count, so `n_timepoints` must be
-    given explicitly in that case.
+    An empty block list carries no row count and is refused.
     """
     blocks = list(blocks)
     if not blocks:
-        if n_timepoints is None:
-            raise DimensionError("concatenating zero blocks requires an explicit n_timepoints")
-        return DesignMatrix(np.zeros((n_timepoints, 0)), (), RegressorSource.MIXED)
+        raise DimensionError("concat_designs needs at least one block")
     n = blocks[0].n_timepoints
     for b in blocks[1:]:
         if b.n_timepoints != n:

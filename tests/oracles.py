@@ -75,12 +75,12 @@ def oracle_spearman(x, y):
     return oracle_pearson(oracle_ranks(x), oracle_ranks(y))
 
 
-def oracle_fd(motion_values, radius_mm=50.0):
+def oracle_fd(motion_values):
     motion_values = np.asarray(motion_values, dtype=float)
     fd = [0.0]
     for t in range(1, motion_values.shape[0]):
         d = [abs(motion_values[t, k] - motion_values[t - 1, k]) for k in range(6)]
-        fd.append(math.fsum(d[:3]) + radius_mm * math.fsum(d[3:]))
+        fd.append(math.fsum(d[:3]) + 50.0 * math.fsum(d[3:]))
     return np.array(fd)
 
 

@@ -6,8 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from qcfc import ValidationError
-from qcfc.cli import cmd_qc, main, run_guarded
+from qcfc.cli import main, run_guarded
 from qcfc.regression import demean_columns
 from qcfc.storage import read_matrix_csv
 
@@ -478,6 +477,23 @@ class TestQcCommand:
         assert rc == 4
         assert "run_info.json" in capsys.readouterr().err
 
+    def test_subject_count_differs_from_run_info_exits_4(self, corrected_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_subjects=4, seed=9)
+        cohort = tmp_path / "cohort"
+        assert main(["phantom", "--config", str(cfg), "--out", str(cohort)]) == 0
+        motion = cohort / "sub-000" / "motion.csv"
+        motion.write_text(motion.read_text().replace(",", ",oops", 1))
+        capsys.readouterr()
+        report = tmp_path / "qc.json"
+        argv = ["--manifest", str(cohort / "manifest.json"), "--report", str(report)]
+        assert main(["qc", *argv, "--corrected", str(corrected_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {corrected_dir / 'run_info.json'}: corrected 5 subjects,"
+            " the manifest lists 4\n"
+        )
+        assert not report.exists()
+
     def test_tampered_run_info_exits_2(self, cohort_dir, corrected_dir, tmp_path):
         corr = tmp_path / "corr"
         shutil.copytree(corrected_dir, corr)
@@ -645,26 +661,14 @@ class TestQcCommand:
         assert err == "error: bins must be >= 1, got 0\n"
         assert not report.exists()
 
-    def test_source_flags_are_exclusive(self, cohort_dir, tmp_path):
-        manifest = str(cohort_dir / "manifest.json")
-        with pytest.raises(ValidationError):
-            cmd_qc(manifest, None, False, str(tmp_path / "qc.json"))
-        with pytest.raises(ValidationError):
-            cmd_qc(manifest, str(tmp_path), True, str(tmp_path / "qc.json"))
-        with pytest.raises(SystemExit) as err:
-            main(
-                [
-                    "qc",
-                    "--manifest",
-                    manifest,
-                    "--raw",
-                    "--corrected",
-                    str(tmp_path),
-                    "--report",
-                    str(tmp_path / "qc.json"),
-                ]
-            )
-        assert err.value.code == 2
+    def test_source_flags_are_exclusive(self, cohort_dir, corrected_dir, tmp_path):
+        report = tmp_path / "qc.json"
+        argv = ["qc", "--manifest", str(cohort_dir / "manifest.json"), "--report", str(report)]
+        for flags in (["--raw", "--corrected", str(corrected_dir)], []):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, *flags])
+            assert err.value.code == 2
+            assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -694,9 +698,7 @@ def test_invalid_utf8_is_a_malformed_file(
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert str(bad) in err
     assert "Traceback" not in err
-    # `correct` creates its output directory before it reads the first
-    # subject; a run that stopped early has no run_info.json.
-    assert not (out / "run_info.json" if target == "ts" else out).exists()
+    assert not out.exists()
 
 
 class TestReportCommand:

@@ -14,13 +14,13 @@ from qcfc import (
     ValidationError,
     build_blocks,
     concat_designs,
-    demean,
     expand_hmp24,
     max_abs_correlation,
     ols_residualize,
     run_pipeline,
 )
 from qcfc.pipelines import HMP_PARAM_LABELS
+from qcfc.regression import demean_columns
 
 from .conftest import make_correlated_bundle
 
@@ -154,7 +154,7 @@ class TestRunPipeline:
 
     def test_baseline_identity_on_demeaned(self):
         bundle = simple_bundle(seed=6)
-        demeaned = demean(bundle.ts)
+        demeaned = SignalMatrix(demean_columns(bundle.ts.values), bundle.ts.column_labels)
         bundle2 = SubjectBundle(
             subject_id="s1",
             ts=demeaned,
@@ -182,15 +182,16 @@ class TestRunPipeline:
         bundle = make_correlated_bundle(104)
         ts, aroma, physio = bundle.ts, bundle.aroma, bundle.physio
         hmp = expand_hmp24(bundle.motion)
+        demeaned = SignalMatrix(demean_columns(ts.values), ts.column_labels)
 
         def fold(blocks):
-            e = demean(ts)
+            e = demeaned
             for block in blocks:
                 e = ols_residualize(e, block)
             return e
 
         expected = {
-            PipelineKind.BASELINE: demean(ts),
+            PipelineKind.BASELINE: demeaned,
             PipelineKind.SEQ_HMP_AROMA_PHYSIO: fold([hmp, aroma, physio]),
             PipelineKind.SEQ_AROMA_HMP_PHYSIO: fold([aroma, hmp, physio]),
             PipelineKind.CONCAT_ALL: ols_residualize(
