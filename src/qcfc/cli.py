@@ -7,15 +7,21 @@ Four subcommands cover the full chain:
     qcfc qc --manifest cohort/manifest.json --corrected corr/ --report qc.json
     qcfc report qc_*.json --csv comparison.csv
 
+`compare` runs their steps for the raw timeseries and every pipeline in one
+process (`scripts/run_full_comparison.py`), computing each subject's mean FD
+once. Scoring takes each subject as (subject_id, mean FD, timeseries); `qc`
+checks a timeseries' ROI labels and motion rows as it loads them.
+
 Exit codes: 0 success; 2 invalid config (including one whose cohort
 overflows float64 or whose arrays are too large for NumPy to index, or a
 histogram bin count below 1), unknown pipeline, schema mismatch, a mistyped
 or unknown field in a JSON record, or not enough memory (for example a
 phantom config too large to generate); 3 filesystem failure (unwritable
 output); 4 malformed, missing or inconsistent data file (including finite
-motion whose regressors or mean-FD sums overflow float64, and a corrected
+motion whose regressors or mean-FD sums overflow float64, a corrected
 directory whose `run_info.json` counts another number of subjects than the
-manifest lists); 5 degenerate input (too few subjects, constant mean FD, a
+manifest lists, and QC reports of different subject or edge counts given to
+`report`); 5 degenerate input (too few subjects, constant mean FD, a
 pipeline stage that leaves fewer than 2 residual degrees of freedom). Data
 and JSON files are read as UTF-8; a file with an invalid byte is malformed
 (exit 4, or 2 for the `phantom` config). Paths inside a manifest are
@@ -61,7 +67,7 @@ from .metrics import (
     qcfc,
 )
 from .phantom import PhantomCohort, PhantomConfig, generate_cohort
-from .pipelines import HeadMotion, PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
+from .pipelines import PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
 from .regression import DesignMatrix, RegressorSource, SignalMatrix
 from .storage import (
     Record,
@@ -80,6 +86,7 @@ from .storage import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "DEFAULT_BINS",
     "SubjectPaths",
     "CohortManifest",
     "RunInfo",
@@ -90,6 +97,7 @@ __all__ = [
     "histogram_points",
     "correct_cohort",
     "score_cohort",
+    "compare",
     "run_guarded",
     "cmd_phantom",
     "cmd_correct",
@@ -99,11 +107,12 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+DEFAULT_BINS = 50
 RAW_PIPELINE_NAME = "raw"
 RUN_INFO_NAME = "run_info.json"
 SUBJECT_FILES = ("ts", "motion", "aroma", "physio")
-# One subject as the scoring step takes it: (subject_id, motion, timeseries).
-Subject = tuple[str, HeadMotion, SignalMatrix]
+# One subject as the scoring step takes it: (subject_id, mean FD, timeseries).
+Subject = tuple[str, float, SignalMatrix]
 
 
 def _check_manifest_path(path: str, field: str) -> None:
@@ -303,7 +312,7 @@ def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
 
 def correct_cohort(
     bundles: Iterable[SubjectBundle], kind: PipelineKind, out: Path
-) -> Iterator[Subject]:
+) -> Iterator[tuple[str, SignalMatrix]]:
     """Correct and write each subject to `out/<subject_id>.csv`, yielding it as it is written.
 
     `out` is created just before the first subject is written, so a run that
@@ -320,7 +329,7 @@ def correct_cohort(
             write_matrix_csv(
                 out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
             )
-        yield bundle.subject_id, bundle.motion, corrected
+        yield bundle.subject_id, corrected
     _write_record(out / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
@@ -342,20 +351,14 @@ def score_cohort(
 ) -> None:
     """Score a cohort with QC-FC and distance dependence; write the report and its histogram CSV.
 
-    Every timeseries must carry the parcellation's ROI labels and as many
-    rows as its subject's motion.
+    Each subject arrives with its mean FD and with a timeseries that already
+    carries the parcellation's ROI labels.
     """
     fcs, mfds = [], []
-    for subject_id, motion, ts in subjects:
+    for subject_id, mfd, ts in subjects:
         with prefixed(f"subject {subject_id!r}"):
-            if ts.column_labels != parcellation.roi_labels:
-                raise SchemaError("ROI labels differ from the parcellation")
-            if motion.n_timepoints != ts.n_timepoints:
-                raise DimensionError(
-                    f"motion has {motion.n_timepoints} rows, timeseries has {ts.n_timepoints}"
-                )
-            mfds.append(mean_fd(framewise_displacement(motion)))
             fcs.append(fc_matrix(ts))
+        mfds.append(mfd)
 
     report = qcfc(fcs, np.array(mfds))
     rho, p = distance_dependence(report, edge_lengths(parcellation))
@@ -410,13 +413,51 @@ def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins
                 if not raw and not ts_path.is_file():
                     raise FileFormatError(f"missing corrected file {ts_path}")
                 ts = SignalMatrix(*read_matrix_csv(ts_path))
-            yield sid, motion, ts
+                if ts.column_labels != parc.roi_labels:
+                    raise SchemaError("ROI labels differ from the parcellation")
+                if motion.n_timepoints != ts.n_timepoints:
+                    raise DimensionError(
+                        f"motion has {motion.n_timepoints} rows, timeseries has {ts.n_timepoints}"
+                    )
+                mfd = mean_fd(framewise_displacement(motion))
+            yield sid, mfd, ts
 
     score_cohort(pipeline_name, parc, subjects(), Path(report_path), bins)
 
 
+def compare(config_path: str, work: Path, bins: int) -> None:
+    """Run `phantom`, `qc --raw`, `correct` and `qc --corrected` per pipeline, and `report`.
+
+    Writes what those commands would under `work`, each file once, and
+    computes each subject's mean FD once, for every report.
+    """
+    _require_bins(bins)
+    cohort = cmd_phantom(config_path, work / "cohort")
+    mfds = {}
+    for b in cohort.bundles:
+        with prefixed(f"subject {b.subject_id!r}"):
+            mfds[b.subject_id] = mean_fd(framewise_displacement(b.motion))
+    runs = {RAW_PIPELINE_NAME: ((b.subject_id, b.ts) for b in cohort.bundles)}
+    for kind in PipelineKind:
+        runs[kind.value] = correct_cohort(cohort.bundles, kind, work / f"corrected_{kind.value}")
+    for name, timeseries in runs.items():
+        subjects = ((sid, mfds[sid], ts) for sid, ts in timeseries)
+        score_cohort(name, cohort.parcellation, subjects, work / f"qc_{name}.json", bins)
+    print()
+    cmd_report([str(work / f"qc_{name}.json") for name in runs], str(work / "comparison.csv"))
+
+
 def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
+    """Print the reports side by side and write their CSV; all must score one cohort's size."""
     reports = [_read_record(Path(p), RunReport) for p in report_paths]
+    for path, r in zip(report_paths, reports):
+        for field in ("n_subjects", "n_edges"):
+            first, other = getattr(reports[0], field), getattr(r, field)
+            if other != first:
+                raise DimensionError(
+                    f"{path} has {field} {other}, {report_paths[0]} has {first};"
+                    " only reports of one cohort can be compared"
+                )
     name_width = max(len("pipeline"), max(len(r.pipeline) for r in reports))
     header = (
         f"{'pipeline':<{name_width}}  {'median_abs_qcfc':>15}  "
@@ -468,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--corrected", help="directory written by `correct`")
     group.add_argument("--raw", action="store_true", help="use uncorrected timeseries")
     p_qc.add_argument("--report", required=True, help="output report JSON path")
-    p_qc.add_argument("--bins", type=int, default=50, help="histogram bin count")
+    p_qc.add_argument("--bins", type=int, default=DEFAULT_BINS, help="histogram bin count")
     p_qc.set_defaults(run=lambda a: cmd_qc(a.manifest, a.corrected, a.report, a.bins))
 
     p_report = sub.add_parser("report", help="compare QC reports side by side")

@@ -594,6 +594,22 @@ class TestQcCommand:
         assert "sub-001" in err and "motion" in err
         assert not report.exists()
 
+    def test_roi_label_is_checked_before_motion_rows(self, cohort_dir, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        ts = cohort / "sub-001" / "ts.csv"
+        lines = ts.read_text().splitlines()
+        lines[0] = "bogus" + lines[0][lines[0].index(",") :]
+        ts.write_text("\n".join(lines[:-1]) + "\n")
+        report = tmp_path / "qc.json"
+        rc = main(
+            ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: subject 'sub-001': ROI labels differ from the parcellation\n"
+        assert not report.exists()
+
     def test_two_subjects_exit_5(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24, seed=9
@@ -778,6 +794,31 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {path}: {field}")
+
+    @pytest.mark.parametrize(
+        "overrides, field, values",
+        [({"n_subjects": 4}, "n_subjects", (5, 4)), ({"n_rois": 7}, "n_edges", (15, 21))],
+        ids=["n_subjects", "n_edges"],
+    )
+    def test_reports_of_cohorts_of_different_sizes_exit_4(
+        self, report_paths, tmp_path, capsys, overrides, field, values
+    ):
+        cfg = write_config(tmp_path / "config.json", **overrides)
+        assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "other")]) == 0
+        other = tmp_path / "qc_other.json"
+        argv = ["qc", "--manifest", str(tmp_path / "other" / "manifest.json"), "--raw"]
+        assert main([*argv, "--report", str(other)]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "comparison.csv"
+        rc = main(["report", str(report_paths[0]), str(other), "--csv", str(csv_path)])
+        assert rc == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {other} has {field} {values[1]}, {report_paths[0]} has {values[0]};"
+            " only reports of one cohort can be compared\n"
+        )
+        assert not csv_path.exists()
 
     def test_missing_report_exits_4(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 4

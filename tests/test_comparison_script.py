@@ -5,6 +5,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import qcfc.cli as cli
 from qcfc.pipelines import PipelineKind
 
 from .conftest import SMALL_CONFIG
@@ -49,6 +50,20 @@ def test_writes_the_same_tree_as_the_command_chain(tmp_path, monkeypatch):
         script_tree[str(Path(CHAIN_NAMES.get(top, top), *rest))] = data
     assert sorted(script_tree) == sorted(chain_tree)
     assert [name for name in chain_tree if script_tree[name] != chain_tree[name]] == []
+
+
+def test_computes_each_subjects_framewise_displacement_once(tmp_path, monkeypatch):
+    real = cli.framewise_displacement
+    calls = []
+
+    def counted(motion):
+        calls.append(motion)
+        return real(motion)
+
+    monkeypatch.setattr(cli, "framewise_displacement", counted)
+    cfg = write_config(tmp_path / "config.json")
+    assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(tmp_path / "w")) == 0
+    assert len(calls) == SMALL_CONFIG.n_subjects == 12
 
 
 def test_invalid_config_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):

@@ -39,6 +39,8 @@ STEPS = [
     ("qc-corrected", "read_matrix_csv", by_path),
     ("correct", "run_pipeline", by_bundle),
     ("script", "run_pipeline", by_bundle),
+    ("script", "framewise_displacement", by_order),
+    ("script", "fc_matrix", by_order),
     ("qc-raw", "read_motion_csv", by_path),
     ("qc-raw", "framewise_displacement", by_order),
     ("qc-raw", "fc_matrix", by_order),
