@@ -12,24 +12,39 @@ process (`scripts/run_full_comparison.py`), computing each subject's mean FD
 once. Scoring takes each subject as (subject_id, mean FD, timeseries); `qc`
 checks a timeseries' ROI labels and motion rows as it loads them.
 
+Formatting floats as text is most of a run's time, so when a command has
+enough to write (see `_writer_count`) `phantom`, `correct` and `compare`
+hand each subject's matrix files to writer processes, started once per
+command and stopped before it returns. Each is a fresh interpreter that
+imports `qcfc.cli` and runs the tasks it reads from a pipe: no
+`multiprocessing`, so no resource tracker and no re-import of the caller's
+main module (and not `fork`: after `import numpy` the process already runs
+OpenBLAS threads). On one CPU, or with little to write, every file is
+written in this process, as before. The numerics stay in this process, in
+the same order, so no output bit changes.
+
 Exit codes: 0 success; 2 invalid config (including one whose cohort
 overflows float64 or whose arrays are too large for NumPy to index, or a
 histogram bin count below 1), unknown pipeline, schema mismatch, a mistyped
 or unknown field in a JSON record, or not enough memory (for example a
 phantom config too large to generate); 3 filesystem failure (unwritable
-output); 4 malformed, missing or inconsistent data file (including finite
-motion whose regressors or mean-FD sums overflow float64, a corrected
-directory whose `run_info.json` counts another number of subjects than the
-manifest lists, and QC reports of different subject or edge counts given to
-`report`); 5 degenerate input (too few subjects, constant mean FD, a
-pipeline stage that leaves fewer than 2 residual degrees of freedom). Data
-and JSON files are read as UTF-8; a file with an invalid byte is malformed
-(exit 4, or 2 for the `phantom` config). Paths inside a manifest are
-relative to the manifest's directory. `correct` creates its output directory
-just before it writes the first subject, so a run that fails on that subject
-leaves none behind. A `qcfc.errors.prefixed` context around each subject's
-loading, correction and scoring (never the loop) names that subject once in
-any error.
+output, or a writer process that ended abruptly); 4 malformed, missing or
+inconsistent data file (including finite motion whose regressors or mean-FD
+sums overflow float64, a corrected directory whose `run_info.json` counts
+another number of subjects than the manifest lists, and QC reports of
+different subject or edge counts given to `report`); 5 degenerate input
+(too few subjects, constant mean FD, a pipeline stage that leaves fewer
+than 2 residual degrees of freedom). Data and JSON files are read as UTF-8;
+a file with an invalid byte is malformed (exit 4, or 2 for the `phantom`
+config). Paths inside a manifest are relative to the manifest's directory.
+`correct` creates its output directory just before it writes the first
+subject, so a run that fails on that subject leaves none behind.
+`manifest.json` and `run_info.json` are written only once every file they
+describe is. A run that fails reports the error a one-process run would have
+reported first; with writer processes, files of later subjects that were
+already handed to one may still be written. A `qcfc.errors.prefixed` context
+around each subject's loading, correction and scoring (never the loop) names
+that subject once in any error.
 
 The JSON records (config, manifest, `run_info.json`, QC report) are frozen
 dataclasses on `qcfc.storage.Record`, which checks each field's type from its
@@ -41,7 +56,17 @@ checks the schema version and names the file in any error.
 from __future__ import annotations
 
 import argparse
+import importlib
+import itertools
+import os
+import pickle
+import queue
+import subprocess
 import sys
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath, PureWindowsPath
 from typing import Iterable, Iterator
@@ -236,8 +261,225 @@ def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int
     return tuple((float(c), int(k)) for c, k in zip(centers, counts))
 
 
+# A writer process takes about 0.45 s of CPU to start (a fresh interpreter
+# importing NumPy and qcfc) and formats about a million floats a second.
+# Measured on 2 CPUs: two writers break even at about 0.6 million timeseries
+# values and save a fifth of `phantom`'s time at 1.2 million, while one
+# writer makes `phantom` slower (the main process only waits for it) and on
+# one CPU any writer shares the main process's core. Hence one writer per
+# half million values, and none unless there would be two. The cap bounds
+# the memory held by writers that would mostly wait: in `compare`, the main
+# process uses about 0.4 s of CPU per second of a writer's, so it keeps at
+# most two or three busy.
+_VALUES_PER_WRITER = 500_000
+_MAX_WRITERS = 4
+# What a writer process runs. It ignores an interrupt: the main process decides what stops.
+_WRITER_CODE = (
+    "import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "import qcfc.cli; qcfc.cli._serve()"
+)
+
+
+def _writer_count(n_values: int, cpus: int) -> int:
+    """Writer processes for a command that writes `n_values` timeseries values on `cpus` CPUs.
+
+    0 means the calling process writes every file itself.
+    """
+    workers = min(cpus, _MAX_WRITERS, n_values // _VALUES_PER_WRITER)
+    return workers if workers > 1 else 0
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve() -> None:
+    """A writer process's loop: run each pickled `(module, name, args)` task read from stdin.
+
+    Answers each task on stdout with None or the exception it raised, and
+    returns when stdin closes.
+    """
+    requests, replies = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # keeps any stray print off the reply pipe
+    while True:
+        try:
+            module, name, args = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            getattr(importlib.import_module(module), name)(*args)
+            reply = None
+        except Exception as e:
+            reply = e
+        try:
+            data = pickle.dumps(reply)
+        except Exception:
+            data = pickle.dumps(OSError(str(reply)))
+        replies.write(data)
+        replies.flush()
+
+
+class _Writer:
+    """Runs file-writing tasks in `workers` processes, or at once in this one if `workers` is 0.
+
+    `submit` queues a task and returns; a thread of this process hands it
+    to an idle writer and waits for the answer. A task is a module-level
+    function, sent by module and name (this module's `_write_*`), so
+    replacing `write_matrix_csv` or `run_pipeline` in this module, as a
+    tracer does, changes nothing a writer runs. Failures are raised in
+    submission order, as serial writes would raise them: `submit` first
+    raises that of the oldest finished task, so a failed write stops the
+    caller early, and `wait` waits for every task. Once one is raised, the
+    tasks not yet started are dropped. Leaving the `with` block waits the
+    same way (so a write that failed before the block's own error is the one
+    raised; an interrupt waits only for the tasks already running), then
+    closes the writers' pipes and waits for them to exit.
+    """
+
+    def __init__(self, workers: int):
+        self._pending: deque[Future] = deque()
+        self._idle: queue.SimpleQueue[subprocess.Popen] = queue.SimpleQueue()
+        self._procs: list[subprocess.Popen] = []
+        self._threads = ThreadPoolExecutor(workers) if workers else None
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        try:
+            for _ in range(workers):
+                self._procs.append(
+                    subprocess.Popen(
+                        [sys.executable, "-c", _WRITER_CODE],
+                        stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE,
+                        env=env,
+                    )
+                )
+                self._idle.put(self._procs[-1])
+        except BaseException:
+            self._close()
+            raise
+
+    @property
+    def parallel(self) -> bool:
+        return self._threads is not None
+
+    def submit(self, task, *args) -> None:
+        """Run `task(*args)` now without writer processes; else queue it."""
+        if self._threads is None:
+            task(*args)
+            return
+        self._collect(block=False)
+        # This module by its import name, also when it runs as `python -m qcfc.cli`.
+        module = __spec__.name if task.__module__ == __name__ else task.__module__
+        self._pending.append(self._threads.submit(self._run, module, task.__name__, args))
+
+    def _run(self, module: str, name: str, args: tuple) -> None:
+        """In a thread of this process: have an idle writer run a task; raise what it raised."""
+        request = pickle.dumps((module, name, args))
+        proc = self._idle.get()
+        try:
+            proc.stdin.write(request)
+            proc.stdin.flush()
+            reply = pickle.load(proc.stdout)
+        except Exception:
+            # A writer that stops answering is stopped; its later tasks fail here at once.
+            proc.kill()
+            raise OSError(f"a writer process ended abruptly (exit status {proc.wait()})") from None
+        finally:
+            self._idle.put(proc)
+        if reply is not None:
+            raise reply
+
+    def wait(self) -> None:
+        """Wait for every submitted task; raise the first failure in submission order."""
+        self._collect(block=True)
+
+    def _collect(self, block: bool) -> None:
+        """Retire the oldest finished tasks (all, if `block`); raise the first failure."""
+        try:
+            while self._pending and (block or self._pending[0].done()):
+                self._pending[0].result()
+                self._pending.popleft()
+        except BaseException:
+            self._drop()
+            raise
+
+    def _drop(self) -> None:
+        """Forget the pending tasks; those not yet started never will be."""
+        for future in self._pending:
+            future.cancel()
+        self._pending.clear()
+
+    def _close(self) -> None:
+        """Let the running tasks finish, then close every writer's pipes and wait for it to exit."""
+        if self._threads is not None:
+            self._threads.shutdown(cancel_futures=True)
+        for proc in self._procs:
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass
+            proc.wait()
+            proc.stdout.close()
+
+    def __enter__(self) -> "_Writer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None or issubclass(exc_type, Exception):
+                self.wait()
+            else:
+                self._drop()
+        finally:
+            self._close()
+
+
+# The writer of the command in progress, which `compare` shares with the commands it runs.
+_WRITER: ContextVar[_Writer | None] = ContextVar("writer", default=None)
+
+
+@contextmanager
+def _writing(n_values: int) -> Iterator[_Writer]:
+    """The writer of the command in progress, or one sized for `n_values` for this block."""
+    if (writer := _WRITER.get()) is not None:
+        yield writer
+        return
+    with _Writer(_writer_count(n_values, _usable_cpus())) as writer:
+        token = _WRITER.set(writer)
+        try:
+            yield writer
+        finally:
+            _WRITER.reset(token)
+
+
+def _write_subject(sub_dir: Path, bundle: SubjectBundle) -> None:
+    """Writer task: one subject's timeseries, motion, component and physio files."""
+    write_matrix_csv(sub_dir / "ts.csv", bundle.ts.values, bundle.ts.column_labels)
+    write_motion_csv(sub_dir / "motion.csv", bundle.motion)
+    write_matrix_csv(sub_dir / "aroma.csv", bundle.aroma.values, bundle.aroma.column_labels)
+    write_matrix_csv(sub_dir / "physio.csv", bundle.physio.values, bundle.physio.column_labels)
+
+
+def _write_corrected(path: Path, bundle: SubjectBundle, kind: PipelineKind) -> None:
+    """Writer task: correct one subject again and write the result to `path`.
+
+    The pipeline runs on one BLAS thread, so this is bit for bit the
+    matrix the caller computed; sending the bundle, which the caller holds
+    anyway, keeps no corrected matrix alive until it is written.
+    """
+    corrected = run_pipeline(bundle, PipelineSpec(kind))
+    write_matrix_csv(path, corrected.values, corrected.column_labels)
+
+
 def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Path:
-    """Write parcellation, truth matrix, per-subject files, and the manifest."""
+    """Write parcellation, truth matrix, per-subject files, and the manifest.
+
+    Inside a command, the subjects' files go through its writer; the
+    manifest is written once they all are.
+    """
+    writer = _WRITER.get() or _Writer(0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_parcellation_csv(out_dir / "parcellation.csv", cohort.parcellation)
@@ -249,12 +491,10 @@ def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Pa
     for bundle in cohort.bundles:
         sub_dir = out_dir / bundle.subject_id
         sub_dir.mkdir(exist_ok=True)
-        write_matrix_csv(sub_dir / "ts.csv", bundle.ts.values, bundle.ts.column_labels)
-        write_motion_csv(sub_dir / "motion.csv", bundle.motion)
-        write_matrix_csv(sub_dir / "aroma.csv", bundle.aroma.values, bundle.aroma.column_labels)
-        write_matrix_csv(sub_dir / "physio.csv", bundle.physio.values, bundle.physio.column_labels)
+        writer.submit(_write_subject, sub_dir, bundle)
         sid = bundle.subject_id
         subjects.append(SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}))
+    writer.wait()
     manifest_path = out_dir / "manifest.json"
     _write_record(manifest_path, CohortManifest("parcellation.csv", tuple(subjects)))
     return manifest_path
@@ -299,12 +539,23 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
         )
 
 
+def _read_config(config_path: str) -> PhantomConfig:
+    with prefixed("config", as_type=ValidationError):
+        return PhantomConfig.from_dict(read_json(Path(config_path)))
+
+
+def _timeseries_values(cfg: PhantomConfig) -> int:
+    """Values in a cohort's timeseries, which dominate what a command writes for it."""
+    return cfg.n_subjects * cfg.n_timepoints * cfg.n_rois
+
+
 def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
     """Generate the cohort a config describes, write it under `out_dir`, and return it."""
-    with prefixed("config", as_type=ValidationError):
-        cfg = PhantomConfig.from_dict(read_json(Path(config_path)))
-    cohort = generate_cohort(cfg)
-    manifest_path = write_cohort(cohort, Path(out_dir), cfg)
+    cfg = _read_config(config_path)
+    # Writer processes start before the cohort is generated, so their imports overlap it.
+    with _writing(_timeseries_values(cfg)):
+        cohort = generate_cohort(cfg)
+        manifest_path = write_cohort(cohort, Path(out_dir), cfg)
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
     print(f"manifest: {manifest_path}")
     return cohort
@@ -313,23 +564,28 @@ def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
 def correct_cohort(
     bundles: Iterable[SubjectBundle], kind: PipelineKind, out: Path
 ) -> Iterator[tuple[str, SignalMatrix]]:
-    """Correct and write each subject to `out/<subject_id>.csv`, yielding it as it is written.
+    """Correct and write each subject to `out/<subject_id>.csv`, yielding it once it is handed on.
 
-    `out` is created just before the first subject is written, so a run that
-    fails on its first subject leaves none. After the last subject, writes
-    `run_info.json` and prints a summary line.
+    Inside a command, the files go through its writer. `out` is created just
+    before the first subject is written, so a run that fails on its first
+    subject leaves none. After the last subject, waits for every file, then
+    writes `run_info.json` and prints a summary line.
     """
+    writer = _WRITER.get() or _Writer(0)
     spec = PipelineSpec(kind)
     n_subjects = 0
     for n_subjects, bundle in enumerate(bundles, 1):
         with prefixed(f"subject {bundle.subject_id!r}"):
             corrected = run_pipeline(bundle, spec)
-            if n_subjects == 1:
-                out.mkdir(parents=True, exist_ok=True)
-            write_matrix_csv(
-                out / f"{bundle.subject_id}.csv", corrected.values, corrected.column_labels
-            )
+        if n_subjects == 1:
+            out.mkdir(parents=True, exist_ok=True)
+        path = out / f"{bundle.subject_id}.csv"
+        if writer.parallel:
+            writer.submit(_write_corrected, path, bundle, kind)
+        else:
+            write_matrix_csv(path, corrected.values, corrected.column_labels)
         yield bundle.subject_id, corrected
+    writer.wait()
     _write_record(out / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
@@ -338,8 +594,10 @@ def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> None:
     kind = PipelineKind.from_name(pipeline_name)
     manifest, base = load_manifest(Path(manifest_path))
     bundles = (load_bundle(base, paths) for paths in manifest.subjects)
-    for _ in correct_cohort(bundles, kind, Path(out_dir)):
-        pass
+    first = next(bundles)
+    with _writing(len(manifest.subjects) * first.ts.values.size):
+        for _ in correct_cohort(itertools.chain([first], bundles), kind, Path(out_dir)):
+            pass
 
 
 def score_cohort(
@@ -429,20 +687,25 @@ def compare(config_path: str, work: Path, bins: int) -> None:
     """Run `phantom`, `qc --raw`, `correct` and `qc --corrected` per pipeline, and `report`.
 
     Writes what those commands would under `work`, each file once, and
-    computes each subject's mean FD once, for every report.
+    computes each subject's mean FD once, for every report. One set of
+    writer processes serves the whole run.
     """
     _require_bins(bins)
-    cohort = cmd_phantom(config_path, work / "cohort")
-    mfds = {}
-    for b in cohort.bundles:
-        with prefixed(f"subject {b.subject_id!r}"):
-            mfds[b.subject_id] = mean_fd(framewise_displacement(b.motion))
-    runs = {RAW_PIPELINE_NAME: ((b.subject_id, b.ts) for b in cohort.bundles)}
-    for kind in PipelineKind:
-        runs[kind.value] = correct_cohort(cohort.bundles, kind, work / f"corrected_{kind.value}")
-    for name, timeseries in runs.items():
-        subjects = ((sid, mfds[sid], ts) for sid, ts in timeseries)
-        score_cohort(name, cohort.parcellation, subjects, work / f"qc_{name}.json", bins)
+    # The cohort's timeseries, then each pipeline's corrected ones.
+    n_values = (1 + len(PipelineKind)) * _timeseries_values(_read_config(config_path))
+    with _writing(n_values):
+        cohort = cmd_phantom(config_path, work / "cohort")
+        mfds = {}
+        for b in cohort.bundles:
+            with prefixed(f"subject {b.subject_id!r}"):
+                mfds[b.subject_id] = mean_fd(framewise_displacement(b.motion))
+        runs = {RAW_PIPELINE_NAME: ((b.subject_id, b.ts) for b in cohort.bundles)}
+        for kind in PipelineKind:
+            out = work / f"corrected_{kind.value}"
+            runs[kind.value] = correct_cohort(cohort.bundles, kind, out)
+        for name, timeseries in runs.items():
+            subjects = ((sid, mfds[sid], ts) for sid, ts in timeseries)
+            score_cohort(name, cohort.parcellation, subjects, work / f"qc_{name}.json", bins)
     print()
     cmd_report([str(work / f"qc_{name}.json") for name in runs], str(work / "comparison.csv"))
 

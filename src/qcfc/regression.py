@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import DataIntegrityError, DegenerateInputError, DimensionError
 
@@ -222,6 +222,8 @@ def residualize_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     n, k = x.shape
     rank = 0
     if k:
+        # Imported here, so that only a fit with regressors pays for loading it.
+        import scipy.linalg
         q, r, _ = scipy.linalg.qr(x, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
         scale = diag[0] if diag.size else 0.0

@@ -1,0 +1,226 @@
+"""`cli`'s writer processes, which write the matrix files of a large enough command.
+
+The writers change where the files are formatted, never their bytes, which
+failure a command reports, or what is left behind when it ends.
+"""
+
+import importlib.util
+import os
+import sys
+import time
+import types
+from pathlib import Path
+
+import pytest
+
+import qcfc.cli as cli
+from qcfc.cli import load_bundle, load_manifest, main, run_guarded
+from qcfc.errors import DegenerateInputError
+from qcfc.pipelines import PipelineKind, PipelineSpec, run_pipeline
+from qcfc.storage import read_matrix_csv
+
+from .conftest import write_config
+from .test_acceptance import _tree_bytes
+from .test_comparison_script import run_script
+from .test_comparison_script import write_config as write_small_config
+
+
+@pytest.fixture(scope="module")
+def cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cohort")
+    cfg = write_config(root / "config.json")
+    assert main(["phantom", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Two writer processes for every command, whatever its size and this machine's CPUs."""
+    monkeypatch.setattr(cli, "_VALUES_PER_WRITER", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+def correct(cohort: Path, pipeline: str, out: Path) -> int:
+    manifest = str(cohort / "manifest.json")
+    return main(["correct", "--manifest", manifest, "--pipeline", pipeline, "--out", str(out)])
+
+
+def expected_corrected(cohort: Path, kind: PipelineKind) -> dict:
+    """Each subject's corrected timeseries, computed in this process."""
+    manifest, base = load_manifest(cohort / "manifest.json")
+    return {
+        paths.subject_id: run_pipeline(load_bundle(base, paths), PipelineSpec(kind))
+        for paths in manifest.subjects
+    }
+
+
+def child_pids() -> list[int]:
+    """Processes whose parent is this one, read from /proc."""
+    own = str(os.getpid())
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid ...": comm may hold spaces and parentheses.
+            state_and_rest = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if state_and_rest[1] == own:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def fail_after(delay: float, message: str) -> None:
+    """Writer task that raises OSError(message) after `delay` seconds."""
+    time.sleep(delay)
+    raise OSError(message)
+
+
+def dying_command() -> None:
+    with cli._Writer(1) as writer:
+        writer.submit(os._exit, 1)
+
+
+def interrupted_command() -> None:
+    with cli._Writer(2) as writer:
+        writer.submit(time.sleep, 0.2)
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("kind", list(PipelineKind), ids=lambda k: k.value)
+def test_corrected_files_hold_the_callers_pipeline_result(cohort, tmp_path, writers, kind):
+    out = tmp_path / "out"
+    assert correct(cohort, kind.value, out) == 0
+    for sid, expected in expected_corrected(cohort, kind).items():
+        values, labels = read_matrix_csv(out / f"{sid}.csv")
+        assert labels == expected.column_labels
+        assert values.tobytes() == expected.values.tobytes()
+
+
+def test_blocked_outputs_exit_3_naming_the_earlier_subject(cohort, tmp_path, writers, capsys):
+    out = tmp_path / "out"
+    for sid in ("sub-001", "sub-003"):
+        (out / f"{sid}.csv").mkdir(parents=True)
+    assert correct(cohort, "concat", out) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "sub-001" in err and "sub-003" not in err
+    assert list(out.rglob("*.tmp")) == []
+    assert not (out / "run_info.json").exists()
+    # Subjects already handed to a writer may still be written, each one whole.
+    expected = expected_corrected(cohort, PipelineKind.CONCAT_ALL)
+    for path in out.glob("*.csv"):
+        if path.is_file():
+            assert read_matrix_csv(path)[0].tobytes() == expected[path.stem].values.tobytes()
+
+
+def test_failure_on_the_first_subject_leaves_no_out(cohort, tmp_path, writers, monkeypatch):
+    def failing(bundle, spec):
+        raise DegenerateInputError("injected failure")
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    out = tmp_path / "out"
+    assert correct(cohort, "concat", out) == 5
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n_values, cpus, workers",
+    [
+        (6_000_000, 2, 2),
+        (6_000_000, 3, 3),
+        (6_000_000, 64, 4),
+        (1_200_000, 8, 2),
+        (999_999, 8, 0),
+        (6_000_000, 1, 0),
+        (0, 4, 0),
+    ],
+)
+def test_writer_count_rule(n_values, cpus, workers):
+    assert cli._writer_count(n_values, cpus) == workers
+
+
+def test_one_cpu_writes_every_file_in_this_process(cohort, tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a writer process was started")
+
+    monkeypatch.setattr(cli, "_VALUES_PER_WRITER", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli.subprocess, "Popen", no_process)
+    assert correct(cohort, "concat", tmp_path / "out") == 0
+
+
+def test_a_writer_that_dies_is_one_error_line_and_exit_3(capsys):
+    assert run_guarded(dying_command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a writer process ended abruptly")
+    assert len(err.splitlines()) == 1
+
+
+def test_wait_raises_the_first_failure_in_submission_order():
+    with pytest.raises(OSError, match="^first$"):
+        with cli._Writer(2) as writer:
+            writer.submit(fail_after, 0.5, "first")
+            writer.submit(fail_after, 0.0, "second")
+            writer.wait()
+
+
+def test_a_failed_write_stops_the_caller_at_its_next_submit():
+    with pytest.raises(OSError, match="^first$"):
+        with cli._Writer(2) as writer:
+            writer.submit(fail_after, 0.0, "first")
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                writer.submit(time.sleep, 0.0)
+                time.sleep(0.01)
+            pytest.fail("the failed write was never raised")
+
+
+def test_a_write_failure_comes_before_a_later_error_of_the_caller():
+    with pytest.raises(OSError, match="^write$"):
+        with cli._Writer(1) as writer:
+            writer.submit(fail_after, 0.2, "write")
+            raise DegenerateInputError("later")
+
+
+def test_tasks_of_cli_run_under_another_name_reach_the_writers(cohort, tmp_path, monkeypatch):
+    """As under `python -m qcfc.cli`, where `cli`'s functions belong to `__main__`."""
+    spec = importlib.util.find_spec("qcfc.cli")
+    copy = types.ModuleType("cli_copy")
+    copy.__spec__, copy.__package__ = spec, "qcfc"
+    monkeypatch.setitem(sys.modules, "cli_copy", copy)
+    exec(compile(Path(spec.origin).read_text(), spec.origin, "exec"), vars(copy))
+    manifest, base = load_manifest(cohort / "manifest.json")
+    bundle = load_bundle(base, manifest.subjects[0])
+    with copy._Writer(1) as writer:
+        writer.submit(copy._write_subject, tmp_path, bundle)
+    assert read_matrix_csv(tmp_path / "ts.csv")[0].tobytes() == bundle.ts.values.tobytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("outcome", ["success", "write-failure", "dead-writer", "interrupt"])
+def test_no_process_outlives_a_command(cohort, tmp_path, writers, outcome):
+    assert child_pids() == []
+    if outcome == "success":
+        assert correct(cohort, "concat", tmp_path / "out") == 0
+    elif outcome == "write-failure":
+        (tmp_path / "out" / "sub-002.csv").mkdir(parents=True)
+        assert correct(cohort, "concat", tmp_path / "out") == 3
+    elif outcome == "dead-writer":
+        assert run_guarded(dying_command) == 3
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            interrupted_command()
+    assert child_pids() == []
+
+
+def test_replaced_cli_names_leave_the_tree_unchanged(tmp_path, writers, monkeypatch):
+    """Writers get tasks by module and name, so closures in `cli` (a tracer's) never reach them."""
+    cfg = write_small_config(tmp_path / "config.json")
+    plain = tmp_path / "plain"
+    assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(plain)) == 0
+    for name in ("write_matrix_csv", "write_motion_csv", "run_pipeline", "atomic_write_text"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _real=real, **kwargs: _real(*args, **kwargs))
+    patched = tmp_path / "patched"
+    assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(patched)) == 0
+    assert _tree_bytes(patched) == _tree_bytes(plain)
