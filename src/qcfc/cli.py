@@ -37,8 +37,8 @@ different subject or edge counts given to `report`); 5 degenerate input
 than 2 residual degrees of freedom). Data and JSON files are read as UTF-8;
 a file with an invalid byte is malformed (exit 4, or 2 for the `phantom`
 config). Paths inside a manifest are relative to the manifest's directory.
-`correct` creates its output directory just before it writes the first
-subject, so a run that fails on that subject leaves none behind.
+A directory is created by the first file written into it, so a `correct`
+that fails on its first subject leaves no output directory behind.
 `manifest.json` and `run_info.json` are written only once every file they
 describe is. A run that fails reports the error a one-process run would have
 reported first; with writer processes, files of later subjects that were
@@ -65,11 +65,11 @@ import subprocess
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath, PureWindowsPath
-from typing import Iterable, Iterator
+from typing import ContextManager, Iterable, Iterator
 
 import numpy as np
 
@@ -93,7 +93,7 @@ from .metrics import (
 )
 from .phantom import PhantomCohort, PhantomConfig, generate_cohort
 from .pipelines import PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
-from .regression import DesignMatrix, RegressorSource, SignalMatrix
+from .regression import DesignMatrix, SignalMatrix
 from .storage import (
     Record,
     atomic_write_text,
@@ -322,6 +322,10 @@ def _serve() -> None:
         replies.flush()
 
 
+# The writer of the command in progress, which `compare` shares with the commands it runs.
+_WRITER: ContextVar[_Writer | None] = ContextVar("writer", default=None)
+
+
 class _Writer:
     """Runs file-writing tasks in `workers` processes, or at once in this one if `workers` is 0.
 
@@ -336,7 +340,8 @@ class _Writer:
     tasks not yet started are dropped. Leaving the `with` block waits the
     same way (so a write that failed before the block's own error is the one
     raised; an interrupt waits only for the tasks already running), then
-    closes the writers' pipes and waits for them to exit.
+    closes the writers' pipes and waits for them to exit. Inside the block it
+    is the command's writer, `_WRITER`.
     """
 
     def __init__(self, workers: int):
@@ -424,9 +429,11 @@ class _Writer:
             proc.stdout.close()
 
     def __enter__(self) -> "_Writer":
+        self._token = _WRITER.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        _WRITER.reset(self._token)
         try:
             if exc_type is None or issubclass(exc_type, Exception):
                 self.wait()
@@ -436,22 +443,11 @@ class _Writer:
             self._close()
 
 
-# The writer of the command in progress, which `compare` shares with the commands it runs.
-_WRITER: ContextVar[_Writer | None] = ContextVar("writer", default=None)
-
-
-@contextmanager
-def _writing(n_values: int) -> Iterator[_Writer]:
-    """The writer of the command in progress, or one sized for `n_values` for this block."""
+def _writing(n_values: int) -> ContextManager[_Writer]:
+    """The writer of the command in progress, left open after the block; else one for `n_values`."""
     if (writer := _WRITER.get()) is not None:
-        yield writer
-        return
-    with _Writer(_writer_count(n_values, _usable_cpus())) as writer:
-        token = _WRITER.set(writer)
-        try:
-            yield writer
-        finally:
-            _WRITER.reset(token)
+        return nullcontext(writer)
+    return _Writer(_writer_count(n_values, _usable_cpus()))
 
 
 def _write_subject(sub_dir: Path, bundle: SubjectBundle) -> None:
@@ -481,17 +477,14 @@ def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Pa
     """
     writer = _WRITER.get() or _Writer(0)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_parcellation_csv(out_dir / "parcellation.csv", cohort.parcellation)
     write_matrix_csv(
         out_dir / "truth_fc.csv", cohort.truth_fc.values, cohort.truth_fc.roi_labels
     )
-    write_json(out_dir / "config.json", cfg.to_dict())
+    write_json(out_dir / "config.json", asdict(cfg))
     subjects = []
     for bundle in cohort.bundles:
-        sub_dir = out_dir / bundle.subject_id
-        sub_dir.mkdir(exist_ok=True)
-        writer.submit(_write_subject, sub_dir, bundle)
+        writer.submit(_write_subject, out_dir / bundle.subject_id, bundle)
         sid = bundle.subject_id
         subjects.append(SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}))
     writer.wait()
@@ -534,8 +527,8 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
             subject_id=paths.subject_id,
             ts=SignalMatrix(ts_values, ts_labels),
             motion=motion,
-            aroma=DesignMatrix(aroma_values, aroma_labels, RegressorSource.AROMA),
-            physio=DesignMatrix(physio_values, physio_labels, RegressorSource.PHYSIO),
+            aroma=DesignMatrix(aroma_values, aroma_labels),
+            physio=DesignMatrix(physio_values, physio_labels),
         )
 
 
@@ -566,10 +559,9 @@ def correct_cohort(
 ) -> Iterator[tuple[str, SignalMatrix]]:
     """Correct and write each subject to `out/<subject_id>.csv`, yielding it once it is handed on.
 
-    Inside a command, the files go through its writer. `out` is created just
-    before the first subject is written, so a run that fails on its first
-    subject leaves none. After the last subject, waits for every file, then
-    writes `run_info.json` and prints a summary line.
+    Inside a command, the files go through its writer. After the last
+    subject, waits for every file, then writes `run_info.json` and prints a
+    summary line.
     """
     writer = _WRITER.get() or _Writer(0)
     spec = PipelineSpec(kind)
@@ -577,8 +569,6 @@ def correct_cohort(
     for n_subjects, bundle in enumerate(bundles, 1):
         with prefixed(f"subject {bundle.subject_id!r}"):
             corrected = run_pipeline(bundle, spec)
-        if n_subjects == 1:
-            out.mkdir(parents=True, exist_ok=True)
         path = out / f"{bundle.subject_id}.csv"
         if writer.parallel:
             writer.submit(_write_corrected, path, bundle, kind)
@@ -630,7 +620,6 @@ def score_cohort(
         undefined_edge_count=report.undefined_edge_count,
         histogram=histogram_points(report.edge_qcfc, bins),
     )
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     _write_record(report_path, run_report)
     hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
     atomic_write_text(hist_path, csv_text([("bin_center", "count"), *run_report.histogram]))

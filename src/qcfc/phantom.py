@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .metrics import FcMatrix, Parcellation, default_roi_labels
 from .pipelines import HeadMotion, SubjectBundle, expand_hmp24
 from .regression import (
     DesignMatrix,
-    RegressorSource,
     SignalMatrix,
     _one_blas_thread,
     demean_columns,
@@ -124,9 +123,6 @@ class PhantomConfig(Record):
     @classmethod
     def from_dict(cls, raw: dict) -> "PhantomConfig":
         return record_from_json(cls, raw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
                 )
             else:
                 aroma_values = np.zeros((n, 0))
-            aroma = DesignMatrix(aroma_values, aroma_labels, RegressorSource.AROMA)
+            aroma = DesignMatrix(aroma_values, aroma_labels)
 
             alpha = rng.standard_normal((24, n_sources))
             beta = rng.standard_normal((p, n_sources))
@@ -270,7 +266,7 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
             artifact = (cfg.artifact_gain * amp) * (source_ts @ coupling.T)
 
             physio_values = _smooth_noise(rng, n, 2)
-            physio = DesignMatrix(physio_values, PHYSIO_LABELS, RegressorSource.PHYSIO)
+            physio = DesignMatrix(physio_values, PHYSIO_LABELS)
             physio_loadings = rng.standard_normal((r, 2)) * _PHYSIO_LOADING_STD
             physio_leak = physio_values @ physio_loadings.T
 

@@ -141,7 +141,7 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
         + tuple(f"{p}_sq" for p in HMP_PARAM_LABELS)
         + tuple(f"{p}_deriv_sq" for p in HMP_PARAM_LABELS)
     )
-    return DesignMatrix(values, labels, RegressorSource.HMP)
+    return DesignMatrix(values, labels)
 
 
 def build_blocks(bundle: SubjectBundle) -> dict[RegressorSource, DesignMatrix]:

@@ -98,12 +98,11 @@ def _one_blas_thread():
 
 
 class RegressorSource(Enum):
-    """Provenance tag for a design block."""
+    """The key of a subject's nuisance block."""
 
     HMP = "HMP"
     AROMA = "AROMA"
     PHYSIO = "PHYSIO"
-    MIXED = "MIXED"
 
 
 def _validated_matrix(values, what: str, min_rows: int) -> np.ndarray:
@@ -135,7 +134,6 @@ class DesignMatrix:
 
     values: np.ndarray
     column_labels: tuple[str, ...]
-    source: RegressorSource
 
     def __post_init__(self):
         arr = _validated_matrix(self.values, "design matrix", min_rows=2)
@@ -255,9 +253,8 @@ def ols_residualize(Y: SignalMatrix, X: DesignMatrix) -> SignalMatrix:
 
 
 def concat_designs(blocks: Sequence[DesignMatrix]) -> DesignMatrix:
-    """Column-concatenate blocks into one MIXED design.
+    """Column-concatenate blocks into one design, their labels in the same order.
 
-    Column labels gain a source prefix so provenance survives the merge.
     An empty block list carries no row count and is refused.
     """
     blocks = list(blocks)
@@ -270,10 +267,7 @@ def concat_designs(blocks: Sequence[DesignMatrix]) -> DesignMatrix:
                 f"blocks disagree on row count: {n} vs {b.n_timepoints}"
             )
     values = np.hstack([b.values for b in blocks])
-    labels = tuple(
-        f"{b.source.value}:{lab}" for b in blocks for lab in b.column_labels
-    )
-    return DesignMatrix(values, labels, RegressorSource.MIXED)
+    return DesignMatrix(values, tuple(lab for b in blocks for lab in b.column_labels))
 
 
 def sequential_residualize(

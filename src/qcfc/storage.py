@@ -11,7 +11,9 @@ header row goes through `csv` quoting, since labels may contain commas,
 quotes, line feeds or carriage returns. Writes go to a uniquely
 named temporary file in the same directory, are synced to disk and renamed
 into place, so a failed run never leaves a partial file and two runs never
-share a temporary file; a failed write removes its temporary file.
+share a temporary file; a failed write removes its temporary file and its
+OSError names the file asked for. A write creates its file's missing parent
+directories, so every output directory is made by its first file.
 JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
 reruns are byte-identical on the same CPU with the same BLAS thread count.
 Cohort and corrected files do not depend on that count (generation and the
@@ -29,6 +31,7 @@ an unknown or missing field. Range and path rules stay in each record class.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -65,17 +68,30 @@ _FLOAT_FORMAT = "%.17g"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write through a uniquely named temporary file, synced, then renamed onto `path`."""
+    """Write through a uniquely named temporary file, synced, then renamed onto `path`.
+
+    Creates the missing parent directories of `path`. A failure removes the
+    temporary file; an OSError is raised again naming `path` instead of it.
+    """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(tmp, "x", encoding="utf-8")
+        with fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as e:
+        # Fails if the temporary file was never created, say under a file that is not a directory.
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(e, OSError) and e.errno is not None:
+            raise type(e)(e.errno, e.strerror, str(path)) from e
         raise
 
 

@@ -103,8 +103,8 @@ def make_correlated_bundle(seed, n=200):
         subject_id=f"inst-{seed}",
         ts=SignalMatrix(ts),
         motion=motion,
-        aroma=DesignMatrix(aroma, tuple(f"c{i}" for i in range(p)), RegressorSource.AROMA),
-        physio=DesignMatrix(physio, ("wm", "nb"), RegressorSource.PHYSIO),
+        aroma=DesignMatrix(aroma, tuple(f"c{i}" for i in range(p))),
+        physio=DesignMatrix(physio, ("wm", "nb")),
     )
 
 
@@ -119,6 +119,6 @@ def orthogonal_blocks(seed, n=60, widths=(4, 3, 2)):
     for width, source in zip(widths, sources):
         cols = q[:, start : start + width]
         labels = tuple(f"{source.value.lower()}{i}" for i in range(width))
-        blocks.append(DesignMatrix(cols, labels, source))
+        blocks.append(DesignMatrix(cols, labels))
         start += width
     return blocks

@@ -7,6 +7,7 @@ the per-criterion verdict in the log.
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -338,7 +339,7 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 
 def test_criterion_8_determinism(capsys, tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(SMALL_CONFIG.to_dict()))
+    cfg_path.write_text(json.dumps(asdict(SMALL_CONFIG)))
 
     t0 = time.monotonic()
     first = tmp_path / "run_a"

@@ -153,6 +153,14 @@ class TestPhantomCommand:
         rc = main(["phantom", "--config", str(cfg), "--out", str(blocked)])
         assert rc == 3
 
+    def test_out_path_collision_names_the_first_file_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24)
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        assert main(["phantom", "--config", str(cfg), "--out", str(blocked)]) == 3
+        target = str(blocked / "parcellation.csv")
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
+
 
 class TestCorrectCommand:
     def test_writes_outputs_and_run_info(self, cohort_dir, corrected_dir):
@@ -736,6 +744,26 @@ class TestReportCommand:
         assert len(lines) == 3
         assert lines[1].startswith("raw,5,")
         assert lines[2].startswith("concat,5,")
+
+    def test_csv_creates_missing_directories(self, report_paths, tmp_path):
+        csv_path = tmp_path / "missing" / "dir" / "c.csv"
+        assert main(["report", str(report_paths[0]), "--csv", str(csv_path)]) == 0
+        assert csv_path.read_text().splitlines()[0] == self.CSV_HEADER
+
+    @pytest.mark.parametrize("blocker", ["csv is a directory", "parent is a file"])
+    def test_unwritable_csv_exits_3_naming_it(self, report_paths, tmp_path, capsys, blocker):
+        if blocker == "csv is a directory":
+            csv_path, message = tmp_path / "taken", "[Errno 21] Is a directory"
+            csv_path.mkdir()
+        else:
+            (tmp_path / "afile").write_text("")
+            csv_path, message = tmp_path / "afile" / "c.csv", "[Errno 20] Not a directory"
+        errs = []
+        for _ in range(2):
+            assert main(["report", str(report_paths[0]), "--csv", str(csv_path)]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"error: {message}: {str(csv_path)!r}\n"] * 2
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_csv_to_stdout_when_no_path(self, report_paths, capsys):
         raw_report, _ = report_paths

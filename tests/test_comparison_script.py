@@ -3,6 +3,7 @@
 import json
 import runpy
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import qcfc.cli as cli
@@ -31,7 +32,7 @@ def run_script(monkeypatch, *args: str) -> int:
 
 
 def write_config(path: Path, **overrides) -> Path:
-    path.write_text(json.dumps({**SMALL_CONFIG.to_dict(), **overrides}))
+    path.write_text(json.dumps({**asdict(SMALL_CONFIG), **overrides}))
     return path
 
 
@@ -79,6 +80,15 @@ def test_workdir_that_is_a_file_exits_3(tmp_path, monkeypatch):
     blocked = tmp_path / "blocked"
     blocked.write_text("")
     assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(blocked)) == 3
+
+
+def test_workdir_that_is_a_file_names_the_first_file_written(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(blocked)) == 3
+    target = str(blocked / "cohort" / "parcellation.csv")
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
 
 
 def test_zero_bins_exits_2_before_writing_anything(tmp_path, monkeypatch, capsys):

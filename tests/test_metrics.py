@@ -17,7 +17,6 @@ from qcfc import (
     FcMatrix,
     HeadMotion,
     Parcellation,
-    RegressorSource,
     SchemaError,
     SignalMatrix,
     distance_dependence,
@@ -290,7 +289,7 @@ class TestEdgeLengths:
 @pytest.mark.parametrize(
     "build, field",
     [
-        (lambda lab: DesignMatrix(np.zeros((4, 3)), lab, RegressorSource.AROMA), "column_labels"),
+        (lambda lab: DesignMatrix(np.zeros((4, 3)), lab), "column_labels"),
         (lambda lab: SignalMatrix(np.zeros((4, 3)), lab), "column_labels"),
         (lambda lab: FcMatrix(np.eye(3), lab), "roi_labels"),
         (lambda lab: Parcellation(lab, np.zeros((3, 3))), "roi_labels"),
@@ -454,7 +453,7 @@ class TestOneVariationRule:
                     correlate(*args)
             assert correlate(varying, varying)[0] == 1.0
 
-        design = DesignMatrix(varying[:, None], ("varying",), RegressorSource.AROMA)
+        design = DesignMatrix(varying[:, None], ("varying",))
         with pytest.raises(DegenerateInputError):
             max_abs_correlation(SignalMatrix(flat[:, None]), design)
         assert max_abs_correlation(pair, design) >= 1.0 - 1e-12

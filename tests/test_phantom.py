@@ -76,17 +76,17 @@ class TestConfigValidation:
             dataclasses.replace(SMALL_CONFIG, seed=-1)
 
     def test_from_dict_roundtrip(self):
-        assert PhantomConfig.from_dict(SMALL_CONFIG.to_dict()) == SMALL_CONFIG
+        assert PhantomConfig.from_dict(dataclasses.asdict(SMALL_CONFIG)) == SMALL_CONFIG
 
     def test_from_dict_unknown_field(self):
-        raw = SMALL_CONFIG.to_dict()
+        raw = dataclasses.asdict(SMALL_CONFIG)
         raw["typo_field"] = 1
         with pytest.raises(ValidationError) as err:
             PhantomConfig.from_dict(raw)
         assert "typo_field" in str(err.value)
 
     def test_from_dict_missing_field(self):
-        raw = SMALL_CONFIG.to_dict()
+        raw = dataclasses.asdict(SMALL_CONFIG)
         del raw["artifact_gain"]
         with pytest.raises(ValidationError) as err:
             PhantomConfig.from_dict(raw)
@@ -94,7 +94,7 @@ class TestConfigValidation:
 
     def test_config_json_bytes(self, tmp_path):
         path = tmp_path / "config.json"
-        write_json(path, SMALL_CONFIG.to_dict())
+        write_json(path, dataclasses.asdict(SMALL_CONFIG))
         assert path.read_text() == (
             "{\n"
             '  "aroma_hmp_mixing": 0.6,\n'

@@ -34,10 +34,9 @@ def simple_bundle(seed=0, n=40, r=5, p=3):
         aroma=DesignMatrix(
             rng.standard_normal((n, p)),
             tuple(f"c{i}" for i in range(p)),
-            RegressorSource.AROMA,
         ),
         physio=DesignMatrix(
-            rng.standard_normal((n, 2)), ("wm", "nb"), RegressorSource.PHYSIO
+            rng.standard_normal((n, 2)), ("wm", "nb")
         ),
     )
 
@@ -47,7 +46,6 @@ class TestExpandHmp24:
         motion = HeadMotion(np.random.default_rng(1).standard_normal((17, 6)))
         out = expand_hmp24(motion)
         assert out.values.shape == (17, 24)
-        assert out.source is RegressorSource.HMP
 
     def test_all_zero_motion(self):
         out = expand_hmp24(HeadMotion(np.zeros((5, 6))))
@@ -97,9 +95,9 @@ class TestBuildBlocks:
             subject_id="empty",
             ts=SignalMatrix(rng.standard_normal((30, 4))),
             motion=HeadMotion(rng.standard_normal((30, 6))),
-            aroma=DesignMatrix(np.zeros((30, 0)), (), RegressorSource.AROMA),
+            aroma=DesignMatrix(np.zeros((30, 0)), ()),
             physio=DesignMatrix(
-                rng.standard_normal((30, 2)), ("wm", "nb"), RegressorSource.PHYSIO
+                rng.standard_normal((30, 2)), ("wm", "nb")
             ),
         )
         blocks = build_blocks(bundle)
@@ -115,9 +113,9 @@ class TestBuildBlocks:
                 subject_id="bad",
                 ts=SignalMatrix(rng.standard_normal((30, 4))),
                 motion=HeadMotion(rng.standard_normal((29, 6))),
-                aroma=DesignMatrix(np.zeros((30, 0)), (), RegressorSource.AROMA),
+                aroma=DesignMatrix(np.zeros((30, 0)), ()),
                 physio=DesignMatrix(
-                    rng.standard_normal((30, 2)), ("wm", "nb"), RegressorSource.PHYSIO
+                    rng.standard_normal((30, 2)), ("wm", "nb")
                 ),
             )
 
@@ -128,20 +126,12 @@ class TestBuildBlocks:
                 subject_id="bad",
                 ts=SignalMatrix(rng.standard_normal((30, 4))),
                 motion=HeadMotion(rng.standard_normal((30, 6))),
-                aroma=DesignMatrix(np.zeros((30, 0)), (), RegressorSource.AROMA),
+                aroma=DesignMatrix(np.zeros((30, 0)), ()),
                 physio=DesignMatrix(
                     rng.standard_normal((30, 3)),
                     ("a", "b", "c"),
-                    RegressorSource.PHYSIO,
                 ),
             )
-
-    def test_sources_normalized(self):
-        bundle = simple_bundle()
-        blocks = build_blocks(bundle)
-        assert blocks[RegressorSource.HMP].source is RegressorSource.HMP
-        assert blocks[RegressorSource.AROMA].source is RegressorSource.AROMA
-        assert blocks[RegressorSource.PHYSIO].source is RegressorSource.PHYSIO
 
 
 class TestRunPipeline:
@@ -230,9 +220,9 @@ class TestRunPipeline:
             subject_id="lab",
             ts=SignalMatrix(rng.standard_normal((30, 3)), labels),
             motion=HeadMotion(rng.standard_normal((30, 6))),
-            aroma=DesignMatrix(np.zeros((30, 0)), (), RegressorSource.AROMA),
+            aroma=DesignMatrix(np.zeros((30, 0)), ()),
             physio=DesignMatrix(
-                rng.standard_normal((30, 2)), ("wm", "nb"), RegressorSource.PHYSIO
+                rng.standard_normal((30, 2)), ("wm", "nb")
             ),
         )
         for kind in PipelineKind:

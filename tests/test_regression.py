@@ -9,7 +9,6 @@ from qcfc import (
     DegenerateInputError,
     DesignMatrix,
     DimensionError,
-    RegressorSource,
     SignalMatrix,
     concat_designs,
     expand_hmp24,
@@ -23,9 +22,9 @@ from .conftest import make_correlated_bundle, orthogonal_blocks, standardize
 from .oracles import oracle_residualize
 
 
-def design(values, source=RegressorSource.MIXED):
+def design(values):
     values = np.asarray(values, dtype=float)
-    return DesignMatrix(values, tuple(f"x{i}" for i in range(values.shape[1])), source)
+    return DesignMatrix(values, tuple(f"x{i}" for i in range(values.shape[1])))
 
 
 class TestDemean:
@@ -156,25 +155,23 @@ class TestOlsResidualize:
 class TestConcatDesigns:
     def test_widths_sum(self):
         blocks = [
-            design(np.zeros((10, 24)), RegressorSource.HMP),
-            design(np.zeros((10, 11)), RegressorSource.AROMA),
-            design(np.zeros((10, 2)), RegressorSource.PHYSIO),
+            design(np.zeros((10, 24))),
+            design(np.zeros((10, 11))),
+            design(np.zeros((10, 2))),
         ]
         merged = concat_designs(blocks)
         assert merged.k == 37
-        assert merged.source is RegressorSource.MIXED
 
-    def test_labels_prefixed_with_source(self):
-        a = DesignMatrix(np.zeros((5, 1)), ("t1",), RegressorSource.HMP)
-        b = DesignMatrix(np.zeros((5, 1)), ("c1",), RegressorSource.AROMA)
+    def test_labels_kept_in_block_order(self):
+        a = DesignMatrix(np.zeros((5, 2)), ("t1", "t2"))
+        b = DesignMatrix(np.zeros((5, 1)), ("c1",))
         merged = concat_designs([a, b])
-        assert merged.column_labels == ("HMP:t1", "AROMA:c1")
+        assert merged.column_labels == ("t1", "t2", "c1")
 
     def test_single_block_values_identical(self):
         values = np.random.default_rng(9).standard_normal((8, 3))
-        merged = concat_designs([design(values, RegressorSource.PHYSIO)])
+        merged = concat_designs([design(values)])
         assert np.array_equal(merged.values, values)
-        assert merged.source is RegressorSource.MIXED
 
     def test_empty_list_needs_row_count(self):
         with pytest.raises(DimensionError, match="at least one block"):
@@ -185,8 +182,8 @@ class TestConcatDesigns:
             concat_designs([design(np.zeros((5, 1))), design(np.zeros((6, 1)))])
 
     def test_column_order_preserved(self):
-        a = design(np.ones((4, 2)) * 2.0, RegressorSource.HMP)
-        b = design(np.ones((4, 1)) * 3.0, RegressorSource.AROMA)
+        a = design(np.ones((4, 2)) * 2.0)
+        b = design(np.ones((4, 1)) * 3.0)
         merged = concat_designs([a, b])
         assert np.array_equal(merged.values, np.hstack([a.values, b.values]))
 
@@ -217,8 +214,8 @@ class TestSequentialResidualize:
         noise = standardize(oracle_residualize(raw, x1))
         x2 = 0.6 * x1 + 0.8 * noise
         y = SignalMatrix(x1 + x2)
-        b1 = design(x1, RegressorSource.HMP)
-        b2 = design(x2, RegressorSource.AROMA)
+        b1 = design(x1)
+        b2 = design(x2)
         seq = sequential_residualize(y, [b1, b2])
         conc = ols_residualize(y, concat_designs([b1, b2]))
         assert max_abs_correlation(seq, b1) > 0.01
@@ -237,7 +234,7 @@ class TestSequentialResidualize:
         for k, block in enumerate(blocks[1:], start=1):
             earlier = concat_designs(blocks[:k])
             resid = ols_residualize(SignalMatrix(block.values), earlier).values
-            orthogonalized.append(design(resid, block.source))
+            orthogonalized.append(design(resid))
         fwl = sequential_residualize(bundle.ts, orthogonalized)
         naive = sequential_residualize(bundle.ts, blocks)
         assert np.abs(fwl.values - conc.values).max() <= 1e-10
@@ -247,10 +244,10 @@ class TestSequentialResidualize:
         rng = np.random.default_rng(14)
         shared = rng.standard_normal((80, 1))
         first = design(
-            np.hstack([rng.standard_normal((80, 2)), shared]), RegressorSource.HMP
+            np.hstack([rng.standard_normal((80, 2)), shared])
         )
         last = design(
-            0.7 * shared + 0.3 * rng.standard_normal((80, 1)), RegressorSource.AROMA
+            0.7 * shared + 0.3 * rng.standard_normal((80, 1))
         )
         y = SignalMatrix(rng.standard_normal((80, 3)) + shared)
         seq = sequential_residualize(y, [first, last])
@@ -309,13 +306,11 @@ class TestConcatenatedOrthogonalityInvariant:
         blocks = [
             design(
                 np.hstack([rng.standard_normal((100, 3)), shared[:, :1]]),
-                RegressorSource.HMP,
             ),
             design(
                 np.hstack([rng.standard_normal((100, 2)), shared[:, 1:]]),
-                RegressorSource.AROMA,
             ),
-            design(rng.standard_normal((100, 2)), RegressorSource.PHYSIO),
+            design(rng.standard_normal((100, 2))),
         ]
         y = SignalMatrix(rng.standard_normal((100, 5)) + shared @ rng.standard_normal((2, 5)))
         resid = ols_residualize(y, concat_designs(blocks))

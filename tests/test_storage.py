@@ -1,3 +1,4 @@
+import errno
 import os
 import stat
 from dataclasses import dataclass
@@ -395,6 +396,26 @@ class TestAtomicWrite:
         with pytest.raises(UnicodeEncodeError):
             atomic_write_text(tmp_path / "unencodable.txt", "\udc80")
         assert list(tmp_path.iterdir()) == [taken]
+
+    def test_creates_missing_parent_directories(self, tmp_path):
+        target = tmp_path / "new" / "dir" / "out.txt"
+        atomic_write_text(target, "hello")
+        assert target.read_text() == "hello"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("blocker", ["target is a directory", "parent is a file"])
+    def test_a_failure_names_the_target_not_its_temporary_file(self, tmp_path, blocker):
+        if blocker == "target is a directory":
+            target, code, kind = tmp_path / "taken", errno.EISDIR, IsADirectoryError
+            target.mkdir()
+        else:
+            (tmp_path / "afile").write_text("")
+            target, code, kind = tmp_path / "afile" / "c.csv", errno.ENOTDIR, NotADirectoryError
+        for _ in range(2):
+            with pytest.raises(kind) as info:
+                atomic_write_text(target, "hello")
+            assert str(info.value) == f"[Errno {code}] {os.strerror(code)}: {str(target)!r}"
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_mode_matches_plain_open(self, tmp_path):
         with open(tmp_path / "plain.txt", "w") as fh:

@@ -123,6 +123,58 @@ def test_failure_on_the_first_subject_leaves_no_out(cohort, tmp_path, writers, m
     assert not out.exists()
 
 
+def test_failure_on_the_first_subject_leaves_no_out_without_writers(cohort, tmp_path, monkeypatch):
+    def failing(bundle, spec):
+        raise DegenerateInputError("injected failure")
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    out = tmp_path / "out"
+    assert correct(cohort, "concat", out) == 5
+    assert not out.exists()
+
+
+def test_a_cohort_without_components_gives_one_tree_with_and_without_writers(
+    tmp_path, writers, monkeypatch
+):
+    """Zero-column `aroma.csv` files, written, read back and regressed on as an empty block."""
+    cfg = write_config(tmp_path / "config.json", n_aroma_components=0)
+
+    def command_chain(root: Path) -> dict:
+        assert main(["phantom", "--config", str(cfg), "--out", str(root / "cohort")]) == 0
+        manifest = str(root / "cohort" / "manifest.json")
+        for kind in PipelineKind:
+            out, report = root / f"corrected_{kind.value}", root / f"qc_{kind.value}.json"
+            assert correct(root / "cohort", kind.value, out) == 0
+            qc = ["qc", "--manifest", manifest, "--corrected", str(out), "--report", str(report)]
+            assert main(qc) == 0
+        return _tree_bytes(root)
+
+    with_writers = command_chain(tmp_path / "writers")
+    with monkeypatch.context() as serial:
+        serial.setattr(cli, "_usable_cpus", lambda: 1)
+        assert command_chain(tmp_path / "serial") == with_writers
+    aroma, labels = read_matrix_csv(tmp_path / "writers" / "cohort" / "sub-000" / "aroma.csv")
+    assert aroma.shape == (40, 0) and labels == ()
+
+
+def test_the_command_writer_is_reset_after_a_block_that_raises():
+    with pytest.raises(DegenerateInputError):
+        with cli._Writer(0) as writer:
+            assert cli._WRITER.get() is writer
+            raise DegenerateInputError("inside")
+    assert cli._WRITER.get() is None
+
+
+def test_writing_inside_an_open_writer_returns_it_and_leaves_it_open():
+    with cli._Writer(1) as writer:
+        with cli._writing(10**9) as inner:
+            assert inner is writer
+        writer.submit(time.sleep, 0.0)
+        writer.wait()
+        assert cli._WRITER.get() is writer
+
+
 @pytest.mark.parametrize(
     "n_values, cpus, workers",
     [
