@@ -20,8 +20,11 @@ imports `qcfc.cli` and runs the tasks it reads from a pipe: no
 `multiprocessing`, so no resource tracker and no re-import of the caller's
 main module (and not `fork`: after `import numpy` the process already runs
 OpenBLAS threads). On one CPU, or with little to write, every file is
-written in this process, as before. The numerics stay in this process, in
-the same order, so no output bit changes.
+written in this process, as before. Every numeric step runs in this
+process, in the same order. A writer reruns a subject's pipeline only to
+write its corrected file, and gets the same bits, since pipelines run on
+one OpenBLAS thread; it is sent the subject's input, which the caller holds
+anyway, so no corrected matrix waits in memory for its writer.
 
 Exit codes: 0 success; 2 invalid config (including one whose cohort
 overflows float64 or whose arrays are too large for NumPy to index, or a
@@ -40,11 +43,15 @@ config). Paths inside a manifest are relative to the manifest's directory.
 A directory is created by the first file written into it, so a `correct`
 that fails on its first subject leaves no output directory behind.
 `manifest.json` and `run_info.json` are written only once every file they
-describe is. A run that fails reports the error a one-process run would have
-reported first; with writer processes, files of later subjects that were
-already handed to one may still be written. A `qcfc.errors.prefixed` context
-around each subject's loading, correction and scoring (never the loop) names
-that subject once in any error.
+describe is, and a rerun removes the old one first: `phantom` before its
+first write, `correct` just before its first corrected file. So a run that
+fails leaves no index file describing files it rewrote, and `qc` refuses
+that directory (exit 4); a `correct` that fails on its first subject leaves
+an existing output directory as it was. A run that fails reports the error
+a one-process run would have reported first; with writer processes, files
+of later subjects that were already handed to one may still be written. A
+`qcfc.errors.prefixed` context around each subject's loading, correction
+and scoring (never the loop) names that subject once in any error.
 
 The JSON records (config, manifest, `run_info.json`, QC report) are frozen
 dataclasses on `qcfc.storage.Record`, which checks each field's type from its
@@ -65,7 +72,7 @@ import subprocess
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath, PureWindowsPath
@@ -116,7 +123,6 @@ __all__ = [
     "CohortManifest",
     "RunInfo",
     "RunReport",
-    "write_cohort",
     "load_manifest",
     "load_bundle",
     "histogram_points",
@@ -469,30 +475,6 @@ def _write_corrected(path: Path, bundle: SubjectBundle, kind: PipelineKind) -> N
     write_matrix_csv(path, corrected.values, corrected.column_labels)
 
 
-def write_cohort(cohort: PhantomCohort, out_dir: Path, cfg: PhantomConfig) -> Path:
-    """Write parcellation, truth matrix, per-subject files, and the manifest.
-
-    Inside a command, the subjects' files go through its writer; the
-    manifest is written once they all are.
-    """
-    writer = _WRITER.get() or _Writer(0)
-    out_dir = Path(out_dir)
-    write_parcellation_csv(out_dir / "parcellation.csv", cohort.parcellation)
-    write_matrix_csv(
-        out_dir / "truth_fc.csv", cohort.truth_fc.values, cohort.truth_fc.roi_labels
-    )
-    write_json(out_dir / "config.json", asdict(cfg))
-    subjects = []
-    for bundle in cohort.bundles:
-        writer.submit(_write_subject, out_dir / bundle.subject_id, bundle)
-        sid = bundle.subject_id
-        subjects.append(SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}))
-    writer.wait()
-    manifest_path = out_dir / "manifest.json"
-    _write_record(manifest_path, CohortManifest("parcellation.csv", tuple(subjects)))
-    return manifest_path
-
-
 def load_manifest(manifest_path: Path) -> tuple[CohortManifest, Path]:
     """Read and validate a manifest; returns it with its base directory."""
     manifest_path = Path(manifest_path)
@@ -523,12 +505,16 @@ def load_bundle(base: Path, paths: SubjectPaths) -> SubjectBundle:
         motion = read_motion_csv(base / paths.motion)
         aroma_values, aroma_labels = read_matrix_csv(base / paths.aroma)
         physio_values, physio_labels = read_matrix_csv(base / paths.physio)
+        with prefixed(paths.aroma):
+            aroma = DesignMatrix(aroma_values, aroma_labels)
+        with prefixed(paths.physio):
+            physio = DesignMatrix(physio_values, physio_labels)
         return SubjectBundle(
             subject_id=paths.subject_id,
             ts=SignalMatrix(ts_values, ts_labels),
             motion=motion,
-            aroma=DesignMatrix(aroma_values, aroma_labels),
-            physio=DesignMatrix(physio_values, physio_labels),
+            aroma=aroma,
+            physio=physio,
         )
 
 
@@ -543,12 +529,31 @@ def _timeseries_values(cfg: PhantomConfig) -> int:
 
 
 def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
-    """Generate the cohort a config describes, write it under `out_dir`, and return it."""
+    """Generate the cohort a config describes, write it under `out_dir`, and return it.
+
+    Writes the parcellation, truth matrix, config and per-subject files (the
+    subjects' through the command's writer), then the manifest once they all
+    are. An old `manifest.json` goes before the first write.
+    """
     cfg = _read_config(config_path)
+    out = Path(out_dir)
+    manifest_path = out / "manifest.json"
     # Writer processes start before the cohort is generated, so their imports overlap it.
-    with _writing(_timeseries_values(cfg)):
+    with _writing(_timeseries_values(cfg)) as writer:
         cohort = generate_cohort(cfg)
-        manifest_path = write_cohort(cohort, Path(out_dir), cfg)
+        with suppress(FileNotFoundError, NotADirectoryError):
+            manifest_path.unlink()
+        write_parcellation_csv(out / "parcellation.csv", cohort.parcellation)
+        write_matrix_csv(out / "truth_fc.csv", cohort.truth_fc.values, cohort.truth_fc.roi_labels)
+        write_json(out / "config.json", asdict(cfg))
+        subjects = []
+        for bundle in cohort.bundles:
+            sid = bundle.subject_id
+            writer.submit(_write_subject, out / sid, bundle)
+            paths = {name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}
+            subjects.append(SubjectPaths(sid, **paths))
+        writer.wait()
+        _write_record(manifest_path, CohortManifest("parcellation.csv", tuple(subjects)))
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
     print(f"manifest: {manifest_path}")
     return cohort
@@ -559,9 +564,10 @@ def correct_cohort(
 ) -> Iterator[tuple[str, SignalMatrix]]:
     """Correct and write each subject to `out/<subject_id>.csv`, yielding it once it is handed on.
 
-    Inside a command, the files go through its writer. After the last
-    subject, waits for every file, then writes `run_info.json` and prints a
-    summary line.
+    Inside a command, the files go through its writer. An old
+    `run_info.json` goes just before the first file is written or handed
+    on. After the last subject, waits for every file, then writes
+    `run_info.json` and prints a summary line.
     """
     writer = _WRITER.get() or _Writer(0)
     spec = PipelineSpec(kind)
@@ -569,6 +575,9 @@ def correct_cohort(
     for n_subjects, bundle in enumerate(bundles, 1):
         with prefixed(f"subject {bundle.subject_id!r}"):
             corrected = run_pipeline(bundle, spec)
+        if n_subjects == 1:
+            with suppress(FileNotFoundError, NotADirectoryError):
+                (out / RUN_INFO_NAME).unlink()
         path = out / f"{bundle.subject_id}.csv"
         if writer.parallel:
             writer.submit(_write_corrected, path, bundle, kind)

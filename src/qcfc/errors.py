@@ -2,6 +2,16 @@
 
 from contextlib import contextmanager
 
+__all__ = [
+    "QcfcError",
+    "DataIntegrityError",
+    "DimensionError",
+    "DegenerateInputError",
+    "SchemaError",
+    "ValidationError",
+    "FileFormatError",
+]
+
 
 class QcfcError(Exception):
     """Base class for all toolkit errors."""

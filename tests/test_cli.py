@@ -11,6 +11,8 @@ from qcfc.regression import demean_columns
 from qcfc.storage import read_matrix_csv
 
 from .conftest import TINY_CFG, write_config
+from .test_acceptance import _tree_bytes
+from .test_writer import correct
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +361,91 @@ class TestCorrectCommand:
         assert rc == 4
         err = capsys.readouterr().err
         assert "sub-001" in err and name.split(".")[0] in err
+
+    @pytest.mark.parametrize(
+        "name, keep, message",
+        [
+            ("ts.csv", 2, "timeseries of shape (1, 6) is too small"),
+            ("aroma.csv", 1, "design matrix needs at least 2 rows, got 0"),
+            ("physio.csv", 1, "design matrix needs at least 2 rows, got 0"),
+        ],
+        ids=["one-row-ts", "header-only-aroma", "header-only-physio"],
+    )
+    def test_too_short_subject_file_exits_4_naming_it(
+        self, cohort_dir, tmp_path, capsys, name, keep, message
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        keep_lines(cohort / "sub-000" / name, keep)
+        out = tmp_path / "o"
+        assert correct(cohort, "concat", out) == 4
+        assert capsys.readouterr().err == f"error: subject 'sub-000': sub-000/{name}: {message}\n"
+        assert not out.exists()
+
+    def test_missing_parcellation_exits_4(self, cohort_dir, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        (cohort / "parcellation.csv").unlink()
+        out = tmp_path / "o"
+        assert correct(cohort, "concat", out) == 4
+        err = capsys.readouterr().err
+        assert err == "error: manifest references missing parcellation file 'parcellation.csv'\n"
+        assert not out.exists()
+
+
+def keep_lines(path, n) -> None:
+    """Cut a file to its first `n` lines."""
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:n]))
+
+
+class TestFailedRerun:
+    """A rerun that fails leaves no index file (`manifest.json`, `run_info.json`) of an old run."""
+
+    def test_phantom_leaves_no_manifest(self, tmp_path, capsys):
+        cohort = tmp_path / "c"
+        phantom = ["phantom", "--out", str(cohort), "--config"]
+        assert main([*phantom, str(write_config(tmp_path / "c3.json"))]) == 0
+        (cohort / "truth_fc.csv").unlink()
+        (cohort / "truth_fc.csv").mkdir()
+        assert main([*phantom, str(write_config(tmp_path / "c4.json", seed=4))]) == 3
+        assert not (cohort / "manifest.json").exists()
+        capsys.readouterr()
+        report = tmp_path / "qc.json"
+        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
+        assert main(argv) == 4
+        assert "manifest.json" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_correct_leaves_no_run_info(self, cohort_dir, tmp_path, capsys):
+        cohort, out = tmp_path / "cohort", tmp_path / "o"
+        shutil.copytree(cohort_dir, cohort)
+        assert correct(cohort, "concat", out) == 0
+        assert correct(cohort, "baseline", out) == 0
+        ts = cohort / "sub-003" / "ts.csv"
+        lines = ts.read_text().splitlines()
+        lines[5] = "nan" + lines[5][lines[5].index(",") :]
+        ts.write_text("\n".join(lines) + "\n")
+        assert correct(cohort, "concat", out) == 4
+        assert not (out / "run_info.json").exists()
+        capsys.readouterr()
+        report = tmp_path / "qc.json"
+        argv = ["--manifest", str(cohort / "manifest.json"), "--report", str(report)]
+        assert main(["qc", *argv, "--corrected", str(out)]) == 4
+        assert "run_info.json" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_failure_on_the_first_subjects_pipeline_leaves_out_unchanged(
+        self, cohort_dir, tmp_path
+    ):
+        cohort, out = tmp_path / "cohort", tmp_path / "o"
+        shutil.copytree(cohort_dir, cohort)
+        assert correct(cohort, "baseline", out) == 0
+        before = _tree_bytes(out)
+        # On 10 rows the motion expansion alone leaves concat no residual degrees of freedom.
+        for path in (cohort / "sub-000").glob("*.csv"):
+            keep_lines(path, 11)
+        assert correct(cohort, "concat", out) == 5
+        assert _tree_bytes(out) == before
 
 
 def cohort_with_motion_cell(cohort_dir, tmp_path, cells):

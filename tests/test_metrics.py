@@ -120,6 +120,10 @@ class TestPearson:
         with pytest.raises(DimensionError):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(DataIntegrityError, match="NaN or infinite"):
+            pearson([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
     def test_r_stays_in_range(self):
         x = np.array([1e300, 2e300, 3e300, 4e300]) / 1e300
         r, _ = pearson(x, 2.0 * x)
@@ -262,6 +266,20 @@ class TestFcMatrix:
         with pytest.raises(DataIntegrityError):
             FcMatrix(bad, ("a", "b", "c"))
 
+    @pytest.mark.parametrize(
+        "values, error, match",
+        [
+            (np.ones((2, 3)), DimensionError, "must be square"),
+            (np.diag([1.0, 0.5, 1.0]), DataIntegrityError, "diagonal must be exactly 1"),
+            (np.array([[1.0, 1.5, 0.0], [1.5, 1.0, 0.0], [0.0, 0.0, 1.0]]), DataIntegrityError,
+             r"must lie in \[-1, 1\]"),
+        ],
+        ids=["not-square", "diagonal", "beyond-one"],
+    )
+    def test_type_rejects_malformed_values(self, values, error, match):
+        with pytest.raises(error, match=match):
+            FcMatrix(values, ("a", "b", "c"))
+
 
 class TestEdgeLengths:
     def test_three_four_five(self):
@@ -365,6 +383,18 @@ class TestQcfc:
         with pytest.raises(DegenerateInputError):
             qcfc(fcs, [0.3, 0.3, 0.3, 0.3])
 
+    @pytest.mark.parametrize(
+        "mfd, error, match",
+        [
+            ([0.1, 0.2, 0.3], DimensionError, "4 FC matrices but 3 mean-FD values"),
+            ([0.1, np.nan, 0.3, 0.4], DataIntegrityError, "NaN or infinite"),
+        ],
+        ids=["count", "nan"],
+    )
+    def test_mean_fd_must_be_one_finite_value_per_subject(self, mfd, error, match):
+        with pytest.raises(error, match=match):
+            qcfc(cohort_fcs(17, 4, 4), mfd)
+
     def test_label_mismatch_rejected(self):
         fcs = cohort_fcs(18, 3, 3)
         other = build_fc(
@@ -420,6 +450,19 @@ class TestQcFcReport:
         for summary in ({"median_abs_qcfc": 0.15}, {"undefined_edge_count": 0}):
             with pytest.raises(TypeError):
                 QcFcReport(**edges, **summary)
+
+    @pytest.mark.parametrize(
+        "r, p, error, match",
+        [
+            ([0.1, 1.5], [0.5, 0.5], DataIntegrityError, "QC-FC values must lie in"),
+            ([0.1, 0.2], [0.5, -0.1], DataIntegrityError, "p-values must lie in"),
+            ([0.1, 0.2], [0.5], DimensionError, "the same length"),
+        ],
+        ids=["r", "p", "lengths"],
+    )
+    def test_values_out_of_range_or_misaligned_rejected(self, r, p, error, match):
+        with pytest.raises(error, match=match):
+            QcFcReport(edge_qcfc=r, edge_pvalues=p, n_subjects=10)
 
 
 def one_ulp_apart(base, ups):

@@ -2,7 +2,8 @@
 
 The records are the `phantom` config, `manifest.json` and each of its
 subject entries, a corrected directory's `run_info.json` and a QC report.
-A refused record leaves one `error:` line, no traceback and no output.
+A record whose fields have their types is still refused, also with exit
+code 2, when it breaks one of its record's rules. A refused record leaves one `error:` line, no traceback and no output.
 """
 
 import contextlib
@@ -172,3 +173,25 @@ def test_a_subject_id_that_is_not_a_string_exits_2(chain, tmp_path, sid):
     assert err.startswith("error: ") and "subjects[0]: subject_id must be a string" in err
     assert not out.exists()
     assert not list(tmp_path.rglob(f"{sid}.csv"))
+
+
+def duplicate_first_subject_id(manifest):
+    manifest["subjects"][1]["subject_id"] = manifest["subjects"][0]["subject_id"]
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "record, edit, message",
+    [
+        ("manifest", lambda m: {**m, "subjects": []}, "manifest must list at least one subject"),
+        ("manifest", duplicate_first_subject_id, "duplicate subject_id 'sub-000' in manifest"),
+        ("report", lambda r: {**r, "n_edges": -1}, "n_edges must be >= 0, got -1"),
+        ("run_info", lambda info: [info], "a record must be a JSON object"),
+    ],
+    ids=["no-subjects", "duplicate-subject", "negative-count", "run_info-array"],
+)
+def test_a_record_that_breaks_its_rules_exits_2(chain, tmp_path, record, edit, message):
+    rc, err, out = run_on_record(chain, record, edit(record_json(chain, record)), tmp_path)
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert not out.exists()
