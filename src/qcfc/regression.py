@@ -185,14 +185,22 @@ def _check_rows(Y: SignalMatrix, X: DesignMatrix) -> None:
         )
 
 
-def _varies(ss, values: np.ndarray):
+def _max_abs(values: np.ndarray):
+    """Each column's max|x| (0 with no rows), as max(max x, -min x): no |x| copy of `values`."""
+    return np.maximum(values.max(axis=0, initial=0.0), -values.min(axis=0, initial=0.0))
+
+
+def _varies(ss, values: np.ndarray, max_abs=None):
     """Whether sqrt(ss) > n * eps * max|x| for each column of `values` (n rows).
 
     `ss` holds centred sums of squares; a smaller spread is what rounding
-    leaves in a constant column. A scalar `ss` with a 1-d `values` gives one bool.
+    leaves in a constant column. A scalar `ss` with a 1-d `values` gives one
+    bool. A caller that centres `values` in place passes `max_abs`, the
+    `_max_abs` of the values before.
     """
-    n = values.shape[0]
-    return np.sqrt(ss) > n * np.finfo(float).eps * np.max(np.abs(values), axis=0, initial=0.0)
+    if max_abs is None:
+        max_abs = _max_abs(values)
+    return np.sqrt(ss) > values.shape[0] * np.finfo(float).eps * max_abs
 
 
 def demean_columns(arr: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@ import csv
 import json
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qcfc.cli as cli
 from qcfc.cli import main, run_guarded
-from qcfc.regression import demean_columns
+from qcfc.metrics import Parcellation, default_roi_labels
+from qcfc.regression import SignalMatrix, demean_columns
 from qcfc.storage import read_matrix_csv
 
 from .conftest import TINY_CFG, write_config
@@ -162,6 +165,32 @@ class TestPhantomCommand:
         assert main(["phantom", "--config", str(cfg), "--out", str(blocked)]) == 3
         target = str(blocked / "parcellation.csv")
         assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
+
+
+    @pytest.mark.parametrize("below", [(), ("sub", "dir")], ids=["file", "under-a-file"])
+    def test_out_path_under_a_file_is_refused_before_generating(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        def never(*_args):
+            raise AssertionError("called before the output path was checked")
+
+        monkeypatch.setattr(cli, "generate_cohort", never)
+        monkeypatch.setattr(cli, "_Writer", never)
+        cfg = write_config(tmp_path / "c.json")
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        out = blocked.joinpath(*below)
+        assert main(["phantom", "--config", str(cfg), "--out", str(out)]) == 3
+        target = str(out / "parcellation.csv")
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "c.json"]
+
+    def test_out_path_under_a_file_is_named_before_an_overflowing_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", artifact_gain=1e308)
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        assert main(["phantom", "--config", str(cfg), "--out", str(blocked)]) == 3
+        assert "Not a directory" in capsys.readouterr().err
 
 
 class TestCorrectCommand:
@@ -780,6 +809,38 @@ class TestQcCommand:
                 main([*argv, *flags])
             assert err.value.code == 2
             assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "n_subjects, n_timepoints, n_rois", [(30, 40, 60), (20, 30, 120)], ids=["60-rois", "120-rois"]
+)
+def test_scoring_peaks_below_three_subjects_by_edges_arrays(
+    tmp_path, capsys, n_subjects, n_timepoints, n_rois
+):
+    """Scoring holds one subjects x edges array, about twice its size at peak.
+
+    The bound leaves room above that and fails a scorer that keeps each
+    subject's full connectivity matrix until QC-FC stacks the edges (over 5x).
+    """
+    import scipy.special  # noqa: F401  (a p-value loads it on first use; not scoring's memory)
+
+    rng = np.random.default_rng(31)
+    labels = default_roi_labels(n_rois)
+    parcellation = Parcellation(labels, rng.normal(size=(n_rois, 3)))
+    shape = (n_timepoints, n_rois)
+    subjects = [
+        (f"sub-{k:03d}", rng.uniform(0.1, 1.0), SignalMatrix(rng.normal(size=shape), labels))
+        for k in range(n_subjects)
+    ]
+    edges_bytes = n_subjects * (n_rois * (n_rois - 1) // 2) * 8
+    tracemalloc.start()
+    try:
+        cli.score_cohort("raw", parcellation, subjects, tmp_path / "qc.json", cli.DEFAULT_BINS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "pipeline: raw" in capsys.readouterr().out
+    assert peak < 3 * edges_bytes, f"peak {peak / edges_bytes:.2f} x the edges array"
 
 
 @pytest.mark.parametrize(

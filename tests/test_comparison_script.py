@@ -91,6 +91,21 @@ def test_workdir_that_is_a_file_names_the_first_file_written(tmp_path, monkeypat
     assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
 
 
+def test_workdir_under_a_file_is_refused_before_generating(tmp_path, monkeypatch, capsys):
+    def never(*_args):
+        raise AssertionError("called before the output path was checked")
+
+    monkeypatch.setattr(cli, "generate_cohort", never)
+    monkeypatch.setattr(cli, "_Writer", never)
+    cfg = write_config(tmp_path / "config.json")
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(blocked)) == 3
+    target = str(blocked / "cohort" / "parcellation.csv")
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "config.json"]
+
+
 def test_zero_bins_exits_2_before_writing_anything(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "config.json")
     work = tmp_path / "w"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qcfc import (
     DataIntegrityError,
@@ -28,8 +29,8 @@ from qcfc import (
     qcfc,
     spearman,
 )
-from qcfc.metrics import QcFcReport, _average_ranks
-from qcfc.regression import max_abs_correlation
+from qcfc.metrics import QcFcReport, _average_ranks, _edge_order, _qcfc_edges
+from qcfc.regression import _max_abs, _varies, max_abs_correlation
 
 from .oracles import (
     oracle_distance_dependence,
@@ -403,6 +404,42 @@ class TestQcfc:
         with pytest.raises(SchemaError):
             qcfc([fcs[0], fcs[1], other], [0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize(
+        "fcs, undefined",
+        [
+            (cohort_fcs(23, 12, 7), 0),
+            (cohort_fcs(24, 12, 7, constant_edge=(2, 5)), 1),
+            (cohort_fcs(25, 1, 5) * 12, 10),
+        ],
+        ids=["all-defined", "one-undefined", "none-defined"],
+    )
+    def test_edges_core_list_and_oracle_agree(self, fcs, undefined):
+        mfd = np.random.default_rng(26).uniform(0.05, 1.5, size=len(fcs))
+        from_list = qcfc(fcs, mfd)
+        from_edges = _qcfc_edges(np.array([fc.upper_triangle() for fc in fcs]), mfd)
+        for field in ("edge_qcfc", "edge_pvalues"):
+            got, expected = getattr(from_edges, field), getattr(from_list, field)
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert from_list.undefined_edge_count == from_edges.undefined_edge_count == undefined
+        assert np.array_equal(from_list.median_abs_qcfc, from_edges.median_abs_qcfc, equal_nan=True)
+        r_o, p_o, med_o = oracle_qcfc([m.values for m in fcs], mfd)
+        assert np.array_equal(np.isnan(from_list.edge_qcfc), np.isnan(r_o))
+        assert np.allclose(from_list.edge_qcfc, r_o, atol=1e-10, equal_nan=True)
+        assert np.allclose(from_list.edge_pvalues, p_o, atol=1e-6, equal_nan=True)
+        assert np.isclose(from_list.median_abs_qcfc, med_o, rtol=0.0, atol=1e-10, equal_nan=True)
+
+    @pytest.mark.parametrize("n_subjects", [0, 2])
+    def test_edges_core_refuses_too_few_subjects(self, n_subjects):
+        edges = np.array([fc.upper_triangle() for fc in cohort_fcs(27, n_subjects, 4)])
+        message = f"^need at least 3 subjects, got {n_subjects}$"
+        with pytest.raises(DegenerateInputError, match=message):
+            _qcfc_edges(edges, np.linspace(0.1, 0.2, n_subjects))
+
+    def test_too_few_subjects_named_before_mismatched_labels(self):
+        other = build_fc(np.zeros((4, 4)), ("w", "x", "y", "z"))
+        with pytest.raises(DegenerateInputError, match="^need at least 3 subjects, got 2$"):
+            qcfc([cohort_fcs(28, 1, 4)[0], other], [0.1, 0.2])
+
     def test_summary_ranges(self):
         fcs = cohort_fcs(20, 10, 5)
         report = qcfc(fcs, np.random.default_rng(21).uniform(0.1, 1.0, 10))
@@ -500,6 +537,59 @@ class TestOneVariationRule:
         with pytest.raises(DegenerateInputError):
             max_abs_correlation(SignalMatrix(flat[:, None]), design)
         assert max_abs_correlation(pair, design) >= 1.0 - 1e-12
+
+
+def varies_with_abs_copy(ss, values):
+    """`_varies` as it was written with an |x| copy of `values`."""
+    n = values.shape[0]
+    return np.sqrt(ss) > n * np.finfo(float).eps * np.max(np.abs(values), axis=0, initial=0.0)
+
+
+# Zeros of both signs, values one rounding apart, and any finite float.
+VARIES_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3, 0.30000000000000004]) | st.floats(
+    -1e300, 1e300
+)
+VARIES_CASES = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5).flatmap(
+    lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=VARIES_VALUES),
+        arrays(np.float64, shape[1], elements=st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 1e6)),
+    )
+)
+
+
+class TestVaries:
+    """`_varies` takes max|x| as max(max x, -min x), with the same result as from |x|."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(VARIES_CASES)
+    @example((np.array([[-0.0, 0.0], [0.0, -0.0]]), np.zeros(2)))
+    @example((np.empty((0, 2)), np.array([0.0, 1.0])))
+    def test_matches_the_abs_copy(self, case):
+        values, ss = case
+        expected = varies_with_abs_copy(ss, values)
+        assert np.array_equal(_varies(ss, values), expected)
+        max_abs = _max_abs(values)
+        assert np.array_equal(max_abs, np.max(np.abs(values), axis=0, initial=0.0))
+        # A caller that centres in place passes the max|x| from before.
+        assert np.array_equal(_varies(ss, values - 7.0, max_abs), expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(arrays(np.float64, st.integers(0, 6), elements=VARIES_VALUES), st.floats(0.0, 1e6))
+    @example(np.array([-0.0, -0.0, 0.0]), 0.0)
+    def test_scalar_ss_with_one_d_values_gives_one_bool(self, values, ss):
+        got = _varies(ss, values)
+        assert np.ndim(got) == 0 and bool(got) == bool(varies_with_abs_copy(ss, values))
+
+
+class TestEdgeOrder:
+    def test_one_read_only_order_per_roi_count_behind_every_edge_vector(self):
+        iu, ju = _edge_order(5)
+        assert _edge_order(5)[0] is iu and _edge_order(5)[1] is ju
+        assert not iu.flags.writeable and not ju.flags.writeable
+        expected = np.triu_indices(5, k=1)
+        assert np.array_equal(iu, expected[0]) and np.array_equal(ju, expected[1])
+        fc = cohort_fcs(29, 1, 5)[0]
+        assert np.array_equal(fc.upper_triangle(), fc.values[iu, ju])
 
 
 class TestDistanceDependence:
