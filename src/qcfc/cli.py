@@ -22,22 +22,24 @@ imports `qcfc.cli` and runs the tasks it reads from a pipe: no
 `multiprocessing`, so no resource tracker and no re-import of the caller's
 main module (and not `fork`: after `import numpy` the process already runs
 OpenBLAS threads). On one CPU, or with little to write, every file is
-written in this process, as before. Every numeric step runs in this
-process, in the same order. A writer reruns a subject's pipeline only to
-write its corrected file, and gets the same bits, since pipelines run on
-one OpenBLAS thread; it is sent the subject's input, which the caller holds
+written in this process. Every numeric step runs in this process, in the
+same order. A writer reruns a subject's pipeline only to write its
+corrected file, and gets the same bits, since pipelines run on one
+OpenBLAS thread; it is sent the subject's input, which the caller holds
 anyway, so no corrected matrix waits in memory for its writer.
 
 Exit codes: 0 success; 2 invalid config (including one whose cohort
 overflows float64 or whose arrays are too large for NumPy to index, or a
-histogram bin count below 1), unknown pipeline, schema mismatch, a mistyped
-or unknown field in a JSON record, or not enough memory (for example a
-phantom config too large to generate); 3 filesystem failure (unwritable
-output, or a writer process that ended abruptly); 4 malformed, missing or
-inconsistent data file (including finite motion whose regressors or mean-FD
-sums overflow float64, a corrected directory whose `run_info.json` counts
-another number of subjects than the manifest lists, and QC reports of
-different subject or edge counts given to `report`); 5 degenerate input
+histogram bin count below 1 or whose bins + 1 float64 edges are too large
+for NumPy to index), unknown pipeline, schema mismatch, a mistyped or
+unknown field in a JSON record, or not enough memory (for example a phantom
+config too large to generate, or a bin count whose edges do not fit in
+memory); 3 filesystem failure (unwritable output, or a writer process that
+ended abruptly); 4 malformed, missing or inconsistent data file (including
+finite motion whose regressors or mean-FD sums overflow float64, a
+corrected directory whose `run_info.json` counts another number of
+subjects than the manifest lists, and QC reports of different subject or
+edge counts given to `report`); 5 degenerate input
 (too few subjects, constant mean FD, a pipeline stage that leaves fewer
 than 2 residual degrees of freedom). Data and JSON files are read as UTF-8;
 a file with an invalid byte is malformed (exit 4, or 2 for the `phantom`
@@ -259,9 +261,14 @@ def _read_record(path: Path, cls: type[Record]) -> Record:
 
 
 def _require_bins(bins: int) -> None:
-    """Refuse a histogram bin count below 1; callers check before they read or write anything."""
+    """Refuse a bin count below 1 or whose edges NumPy cannot index; checked before any I/O."""
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
+    # `np.linspace` sizes the edge array from the count rounded to float64,
+    # which can round up past what NumPy can index.
+    edges, itemsize, limit = bins + 1, np.dtype(np.float64).itemsize, np.iinfo(np.intp).max
+    if edges * itemsize > limit or float(edges) * itemsize > limit:
+        raise ValidationError(f"bins must be small enough for NumPy to index its edges, got {bins}")
 
 
 def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int], ...]:
@@ -346,7 +353,9 @@ class _Writer:
     to an idle writer and waits for the answer. A task is a module-level
     function, sent by module and name (this module's `_write_*`), so
     replacing `write_matrix_csv` or `run_pipeline` in this module, as a
-    tracer does, changes nothing a writer runs. Failures are raised in
+    tracer does, changes nothing a writer runs. No argument is an instance
+    of a class of this module: under `python -m qcfc.cli` it would be
+    `__main__`'s, which no writer can unpickle. Failures are raised in
     submission order, as serial writes would raise them: `submit` first
     raises that of the oldest finished task, so a failed write stops the
     caller early, and `wait` waits for every task. Once one is raised, the
@@ -463,12 +472,14 @@ def _writing(n_values: int) -> ContextManager[_Writer]:
     return _Writer(_writer_count(n_values, _usable_cpus()))
 
 
-def _write_subject(sub_dir: Path, bundle: SubjectBundle) -> None:
+def _write_subject(
+    bundle: SubjectBundle, ts: Path, motion: Path, aroma: Path, physio: Path
+) -> None:
     """Writer task: one subject's timeseries, motion, component and physio files."""
-    write_matrix_csv(sub_dir / "ts.csv", bundle.ts.values, bundle.ts.column_labels)
-    write_motion_csv(sub_dir / "motion.csv", bundle.motion)
-    write_matrix_csv(sub_dir / "aroma.csv", bundle.aroma.values, bundle.aroma.column_labels)
-    write_matrix_csv(sub_dir / "physio.csv", bundle.physio.values, bundle.physio.column_labels)
+    write_matrix_csv(ts, bundle.ts.values, bundle.ts.column_labels)
+    write_motion_csv(motion, bundle.motion)
+    write_matrix_csv(aroma, bundle.aroma.values, bundle.aroma.column_labels)
+    write_matrix_csv(physio, bundle.physio.values, bundle.physio.column_labels)
 
 
 def _write_corrected(path: Path, bundle: SubjectBundle, kind: PipelineKind) -> None:
@@ -571,9 +582,9 @@ def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
         subjects = []
         for bundle in cohort.bundles:
             sid = bundle.subject_id
-            writer.submit(_write_subject, out / sid, bundle)
-            paths = {name: f"{sid}/{name}.csv" for name in SUBJECT_FILES}
-            subjects.append(SubjectPaths(sid, **paths))
+            paths = SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES})
+            writer.submit(_write_subject, bundle, *(out / getattr(paths, n) for n in SUBJECT_FILES))
+            subjects.append(paths)
         writer.wait()
         _write_record(manifest_path, CohortManifest("parcellation.csv", tuple(subjects)))
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .regression import (
     DesignMatrix,
-    RegressorSource,
     SignalMatrix,
     _one_blas_thread,
     _validated_matrix,
@@ -144,29 +143,24 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
     return DesignMatrix(values, labels)
 
 
-def build_blocks(bundle: SubjectBundle) -> dict[RegressorSource, DesignMatrix]:
-    """Assemble the three nuisance blocks for one subject.
+def build_blocks(bundle: SubjectBundle) -> dict[str, DesignMatrix]:
+    """Assemble one subject's three nuisance blocks, keyed "hmp", "aroma" and "physio".
 
     The motion block is the 24-regressor expansion; the component and physio
     blocks pass through as the bundle holds them.
     """
-    return {
-        RegressorSource.HMP: expand_hmp24(bundle.motion),
-        RegressorSource.AROMA: bundle.aroma,
-        RegressorSource.PHYSIO: bundle.physio,
-    }
+    return {"hmp": expand_hmp24(bundle.motion), "aroma": bundle.aroma, "physio": bundle.physio}
 
 
-_HMP, _AROMA, _PHYSIO = RegressorSource.HMP, RegressorSource.AROMA, RegressorSource.PHYSIO
-
-# Each strategy as an ordered tuple of block groups. Blocks in one group are
-# regressed out together, in one projection onto their concatenation; groups
-# are regressed out one after another.
-PIPELINE_STAGES: dict[PipelineKind, tuple[tuple[RegressorSource, ...], ...]] = {
+# Each strategy as an ordered tuple of block groups, each block named by its
+# `build_blocks` key, the token the pipeline names use. Blocks in one group
+# are regressed out together, in one projection onto their concatenation;
+# groups are regressed out one after another.
+PIPELINE_STAGES: dict[PipelineKind, tuple[tuple[str, ...], ...]] = {
     PipelineKind.BASELINE: (),
-    PipelineKind.SEQ_HMP_AROMA_PHYSIO: ((_HMP,), (_AROMA,), (_PHYSIO,)),
-    PipelineKind.SEQ_AROMA_HMP_PHYSIO: ((_AROMA,), (_HMP,), (_PHYSIO,)),
-    PipelineKind.CONCAT_ALL: ((_AROMA, _HMP, _PHYSIO),),
+    PipelineKind.SEQ_HMP_AROMA_PHYSIO: (("hmp",), ("aroma",), ("physio",)),
+    PipelineKind.SEQ_AROMA_HMP_PHYSIO: (("aroma",), ("hmp",), ("physio",)),
+    PipelineKind.CONCAT_ALL: (("aroma", "hmp", "physio"),),
 }
 
 
@@ -186,7 +180,7 @@ def run_pipeline(bundle: SubjectBundle, spec: PipelineSpec) -> SignalMatrix:
     with _one_blas_thread():
         blocks = build_blocks(bundle)
         designs = [
-            concat_designs([blocks[source] for source in group])
+            concat_designs([blocks[name] for name in group])
             for group in PIPELINE_STAGES[spec.kind]
         ]
         if len(designs) == 1:

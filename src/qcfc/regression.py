@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +27,6 @@ import scipy
 from .errors import DataIntegrityError, DegenerateInputError, DimensionError
 
 __all__ = [
-    "RegressorSource",
     "DesignMatrix",
     "SignalMatrix",
     "demean_columns",
@@ -95,14 +93,6 @@ def _one_blas_thread():
     finally:
         for (_, set_threads), count in zip(controls, saved):
             set_threads(count)
-
-
-class RegressorSource(Enum):
-    """The key of a subject's nuisance block."""
-
-    HMP = "HMP"
-    AROMA = "AROMA"
-    PHYSIO = "PHYSIO"
 
 
 def _validated_matrix(values, what: str, min_rows: int) -> np.ndarray:

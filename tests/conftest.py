@@ -7,7 +7,6 @@ from qcfc import (
     DesignMatrix,
     HeadMotion,
     PhantomConfig,
-    RegressorSource,
     SignalMatrix,
     SubjectBundle,
     expand_hmp24,
@@ -113,12 +112,11 @@ def orthogonal_blocks(seed, n=60, widths=(4, 3, 2)):
     rng = np.random.default_rng(seed)
     total = sum(widths)
     q, _ = np.linalg.qr(demean_columns(rng.standard_normal((n, total))))
-    sources = (RegressorSource.HMP, RegressorSource.AROMA, RegressorSource.PHYSIO)
     blocks = []
     start = 0
-    for width, source in zip(widths, sources):
+    for width, name in zip(widths, ("hmp", "aroma", "physio")):
         cols = q[:, start : start + width]
-        labels = tuple(f"{source.value.lower()}{i}" for i in range(width))
+        labels = tuple(f"{name}{i}" for i in range(width))
         blocks.append(DesignMatrix(cols, labels))
         start += width
     return blocks

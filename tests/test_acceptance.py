@@ -33,7 +33,6 @@ from qcfc import (
 from qcfc.cli import main
 from qcfc.metrics import HeadMotion, default_roi_labels
 from qcfc.pipelines import PipelineKind, PipelineSpec, build_blocks
-from qcfc.regression import RegressorSource
 
 from .conftest import REFERENCE_CONFIG, SMALL_CONFIG, make_correlated_bundle, orthogonal_blocks
 from .oracles import (
@@ -52,11 +51,7 @@ def _check(capsys, num, name, passed, detail):
 
 def _blocks_in_order(bundle):
     blocks = build_blocks(bundle)
-    return [
-        blocks[RegressorSource.AROMA],
-        blocks[RegressorSource.HMP],
-        blocks[RegressorSource.PHYSIO],
-    ]
+    return [blocks[name] for name in ("aroma", "hmp", "physio")]
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +78,7 @@ def hundred_instances():
     for bundle in bundles:
         blocks = build_blocks(bundle)
         resid = run_pipeline(bundle, PipelineSpec(PipelineKind.SEQ_HMP_AROMA_PHYSIO))
-        seq_hmp.append(max_abs_correlation(resid, blocks[RegressorSource.HMP]))
+        seq_hmp.append(max_abs_correlation(resid, blocks["hmp"]))
     seq_elapsed = time.monotonic() - t0
 
     return {

@@ -9,6 +9,7 @@ import pytest
 
 import qcfc.cli as cli
 from qcfc.cli import main, run_guarded
+from qcfc.errors import ValidationError
 from qcfc.metrics import Parcellation, default_roi_labels
 from qcfc.regression import SignalMatrix, demean_columns
 from qcfc.storage import read_matrix_csv
@@ -801,6 +802,24 @@ class TestQcCommand:
         assert err == "error: bins must be >= 1, got 0\n"
         assert not report.exists()
 
+    def test_bins_beyond_numpy_refused_before_reading_a_subject(
+        self, cohort_dir, tmp_path, capsys
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        ts = cohort / "sub-000" / "ts.csv"
+        ts.write_text(ts.read_text().replace(",", ",oops", 1))
+        report = tmp_path / "qc.json"
+        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
+        assert main([*argv, "--bins", str(10**20)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: bins must be small enough for NumPy to index its edges,"
+            f" got {10**20}\n"
+        )
+        assert not report.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort"]
+
     def test_source_flags_are_exclusive(self, cohort_dir, corrected_dir, tmp_path):
         report = tmp_path / "qc.json"
         argv = ["qc", "--manifest", str(cohort_dir / "manifest.json"), "--report", str(report)]
@@ -809,6 +828,17 @@ class TestQcCommand:
                 main([*argv, *flags])
             assert err.value.code == 2
             assert not report.exists()
+
+
+def test_histogram_bins_are_refused_where_numpy_cannot_index_their_edges():
+    """On a 64-bit NumPy, `np.linspace` rounds an edge count of 2**60 - 64 or more up to 2**60."""
+    values = np.zeros(3)
+    for bins in (2**62, 2**60 - 65):
+        with pytest.raises(ValidationError, match="small enough for NumPy"):
+            cli.histogram_points(values, bins)
+    # One bin fewer is an array NumPy can index but no machine can hold.
+    with pytest.raises(MemoryError):
+        cli.histogram_points(values, 2**60 - 66)
 
 
 @pytest.mark.parametrize(

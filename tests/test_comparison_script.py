@@ -112,3 +112,14 @@ def test_zero_bins_exits_2_before_writing_anything(tmp_path, monkeypatch, capsys
     assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(work), "--bins", "0") == 2
     assert capsys.readouterr().err == "error: bins must be >= 1, got 0\n"
     assert not (work / "cohort").exists()
+
+
+def test_bins_beyond_numpy_exit_2_before_writing_anything(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    work = tmp_path / "w"
+    args = ("--config", str(cfg), "--workdir", str(work), "--bins", str(2**62))
+    assert run_script(monkeypatch, *args) == 2
+    assert capsys.readouterr().err == (
+        f"error: bins must be small enough for NumPy to index its edges, got {2**62}\n"
+    )
+    assert not work.exists()

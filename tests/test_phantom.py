@@ -5,7 +5,6 @@ import pytest
 
 from qcfc import (
     PhantomConfig,
-    RegressorSource,
     SchemaError,
     SignalMatrix,
     ValidationError,
@@ -195,13 +194,7 @@ class TestContamination:
         for bundle, clean_bundle in zip(small_cohort.bundles, clean.bundles):
             injected = bundle.ts.values - clean_bundle.ts.values
             blocks = build_blocks(bundle)
-            design = concat_designs(
-                [
-                    blocks[RegressorSource.AROMA],
-                    blocks[RegressorSource.HMP],
-                    blocks[RegressorSource.PHYSIO],
-                ]
-            )
+            design = concat_designs([blocks[name] for name in ("aroma", "hmp", "physio")])
             leftover = ols_residualize(SignalMatrix(injected), design)
             ratio = np.linalg.norm(leftover.values) / np.linalg.norm(injected)
             worst = max(worst, ratio)
@@ -235,7 +228,7 @@ class TestContamination:
         for bundle in cohort.bundles:
             blocks = build_blocks(bundle)
             corr = max_abs_correlation(
-                SignalMatrix(bundle.aroma.values), blocks[RegressorSource.HMP]
+                SignalMatrix(bundle.aroma.values), blocks["hmp"]
             )
             worst = max(worst, corr)
         assert worst < 0.2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from qcfc import (
     HeadMotion,
     PipelineKind,
     PipelineSpec,
-    RegressorSource,
     SignalMatrix,
     SubjectBundle,
     ValidationError,
@@ -19,7 +20,7 @@ from qcfc import (
     ols_residualize,
     run_pipeline,
 )
-from qcfc.pipelines import HMP_PARAM_LABELS
+from qcfc.pipelines import HMP_PARAM_LABELS, PIPELINE_STAGES
 from qcfc.regression import demean_columns
 
 from .conftest import make_correlated_bundle
@@ -85,9 +86,9 @@ class TestExpandHmp24:
 class TestBuildBlocks:
     def test_block_widths(self, reference_cohort):
         blocks = build_blocks(reference_cohort.bundles[0])
-        assert blocks[RegressorSource.HMP].k == 24
-        assert blocks[RegressorSource.AROMA].k == 11
-        assert blocks[RegressorSource.PHYSIO].k == 2
+        assert blocks["hmp"].k == 24
+        assert blocks["aroma"].k == 11
+        assert blocks["physio"].k == 2
 
     def test_empty_aroma_still_runs(self):
         rng = np.random.default_rng(2)
@@ -101,7 +102,7 @@ class TestBuildBlocks:
             ),
         )
         blocks = build_blocks(bundle)
-        assert blocks[RegressorSource.AROMA].k == 0
+        assert blocks["aroma"].k == 0
         for kind in PipelineKind:
             out = run_pipeline(bundle, PipelineSpec(kind))
             assert out.values.shape == (30, 4)
@@ -158,7 +159,7 @@ class TestRunPipeline:
     def test_sequential_retains_hmp_correlation(self, reference_cohort):
         bundle = reference_cohort.bundles[0]
         out = run_pipeline(bundle, PipelineSpec(PipelineKind.SEQ_HMP_AROMA_PHYSIO))
-        hmp = build_blocks(bundle)[RegressorSource.HMP]
+        hmp = build_blocks(bundle)["hmp"]
         assert max_abs_correlation(out, hmp) > 1e-3
 
     def test_output_shape_and_zero_mean(self):
@@ -195,9 +196,9 @@ class TestRunPipeline:
     def test_concat_order_invariance(self):
         bundle = make_correlated_bundle(102)
         blocks = build_blocks(bundle)
-        a = blocks[RegressorSource.AROMA]
-        h = blocks[RegressorSource.HMP]
-        ph = blocks[RegressorSource.PHYSIO]
+        a = blocks["aroma"]
+        h = blocks["hmp"]
+        ph = blocks["physio"]
         ref = ols_residualize(bundle.ts, concat_designs([a, h, ph])).values
         for order in ([h, a, ph], [ph, h, a], [a, ph, h]):
             alt = ols_residualize(bundle.ts, concat_designs(order)).values
@@ -205,7 +206,7 @@ class TestRunPipeline:
 
     def test_sequential_orthogonal_to_final_block(self):
         bundle = make_correlated_bundle(103)
-        physio = build_blocks(bundle)[RegressorSource.PHYSIO]
+        physio = build_blocks(bundle)["physio"]
         for kind in (
             PipelineKind.SEQ_HMP_AROMA_PHYSIO,
             PipelineKind.SEQ_AROMA_HMP_PHYSIO,
@@ -244,3 +245,50 @@ class TestPipelineNames:
     def test_pipeline_spec_requires_enum_kind(self):
         with pytest.raises(ValidationError):
             PipelineSpec("baseline")
+
+
+def ordered_partitions(names):
+    """Every split of `names` into an ordered sequence of groups, each group in `names`' order.
+
+    A split gives each name the index of its group, every index below the
+    group count in use.
+    """
+    splits = []
+    for group_of in itertools.product(range(len(names)), repeat=len(names)):
+        n_groups = max(group_of) + 1
+        if set(group_of) == set(range(n_groups)):
+            groups = [tuple(n for n, g in zip(names, group_of) if g == i) for i in range(n_groups)]
+            splits.append(tuple(groups))
+    return splits
+
+
+# Listed in `concat`'s order, so the one-group ordering is `concat`'s own.
+BLOCK_ORDERINGS = ordered_partitions(("aroma", "hmp", "physio"))
+
+
+def test_three_blocks_have_13_orderings():
+    assert len(BLOCK_ORDERINGS) == 13
+    assert set(PIPELINE_STAGES.values()) - {()} <= set(BLOCK_ORDERINGS)
+
+
+@pytest.mark.parametrize(
+    "stages", BLOCK_ORDERINGS, ids=[">".join("+".join(g) for g in s) for s in BLOCK_ORDERINGS]
+)
+def test_every_ordering_removes_its_last_group_and_only_one_group_removes_all(
+    stages, monkeypatch
+):
+    """Criteria 2 and 3 over every ordered grouping of the three blocks.
+
+    The residual is orthogonal to each block of the last group; with more
+    than one group, some block of an earlier group re-enters.
+    """
+    monkeypatch.setitem(PIPELINE_STAGES, PipelineKind.CONCAT_ALL, stages)
+    for seed in range(40):
+        bundle = make_correlated_bundle(seed)
+        blocks = build_blocks(bundle)
+        resid = run_pipeline(bundle, PipelineSpec(PipelineKind.CONCAT_ALL))
+        for name in stages[-1]:
+            assert max_abs_correlation(resid, blocks[name]) < 1e-10, (seed, name)
+        if len(stages) > 1:
+            earlier = [max_abs_correlation(resid, blocks[n]) for g in stages[:-1] for n in g]
+            assert max(earlier) > 1e-3, seed

@@ -235,17 +235,15 @@ def test_a_write_failure_comes_before_a_later_error_of_the_caller():
 
 
 def test_tasks_of_cli_run_under_another_name_reach_the_writers(cohort, tmp_path, monkeypatch):
-    """As under `python -m qcfc.cli`, where `cli`'s functions belong to `__main__`."""
+    """As under `python -m qcfc.cli`, where `cli`'s functions and classes belong to `__main__`."""
     spec = importlib.util.find_spec("qcfc.cli")
     copy = types.ModuleType("cli_copy")
     copy.__spec__, copy.__package__ = spec, "qcfc"
     monkeypatch.setitem(sys.modules, "cli_copy", copy)
     exec(compile(Path(spec.origin).read_text(), spec.origin, "exec"), vars(copy))
-    manifest, base = load_manifest(cohort / "manifest.json")
-    bundle = load_bundle(base, manifest.subjects[0])
-    with copy._Writer(1) as writer:
-        writer.submit(copy._write_subject, tmp_path, bundle)
-    assert read_matrix_csv(tmp_path / "ts.csv")[0].tobytes() == bundle.ts.values.tobytes()
+    with copy._Writer(1):
+        copy.cmd_phantom(str(cohort.parent / "config.json"), str(tmp_path / "data"))
+    assert _tree_bytes(tmp_path / "data") == _tree_bytes(cohort)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
