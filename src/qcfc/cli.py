@@ -14,19 +14,12 @@ checks a timeseries' ROI labels and motion rows as it loads them. Scoring
 keeps only each subject's edges, one connectivity matrix at a time, so it
 holds one subjects x edges array and peaks at about twice its size.
 
-Formatting floats as text is most of a run's time, so when a command has
-enough to write (see `_writer_count`) `phantom`, `correct` and `compare`
-hand each subject's matrix files to writer processes, started once per
-command and stopped before it returns. Each is a fresh interpreter that
-imports `qcfc.cli` and runs the tasks it reads from a pipe: no
-`multiprocessing`, so no resource tracker and no re-import of the caller's
-main module (and not `fork`: after `import numpy` the process already runs
-OpenBLAS threads). On one CPU, or with little to write, every file is
-written in this process. Every numeric step runs in this process, in the
-same order. A writer reruns a subject's pipeline only to write its
-corrected file, and gets the same bits, since pipelines run on one
-OpenBLAS thread; it is sent the subject's input, which the caller holds
-anyway, so no corrected matrix waits in memory for its writer.
+Formatting floats as text is most of a run's time, so `phantom`, `correct`
+and `compare` open one `_Writer` each (README, "Writer processes") and pass
+it down to the steps that write subjects' matrix files. Its writers are
+fresh interpreters fed over pipes, not `fork`ed: after `import numpy` this
+process already runs OpenBLAS threads. Every numeric step runs in this
+process, in the same order.
 
 Exit codes: 0 success; 2 invalid config (including one whose cohort
 overflows float64 or whose arrays are too large for NumPy to index, or a
@@ -81,10 +74,9 @@ import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext, suppress
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from pathlib import Path, PurePosixPath, PureWindowsPath
-from typing import ContextManager, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -194,11 +186,17 @@ class CohortManifest(Record):
         _check_manifest_path(self.parcellation_path, "parcellation_path")
         if not self.subjects:
             raise ValidationError("manifest must list at least one subject")
-        seen = set()
+        # A component file may be shared (an empty one, say); a timeseries file may not.
+        seen, ts_owners = set(), {}
         for s in self.subjects:
             if s.subject_id in seen:
                 raise ValidationError(f"duplicate subject_id {s.subject_id!r} in manifest")
             seen.add(s.subject_id)
+            owner = ts_owners.setdefault(PurePosixPath(s.ts), s.subject_id)
+            if owner != s.subject_id:
+                raise ValidationError(
+                    f"subjects {owner!r} and {s.subject_id!r} share the ts file {s.ts!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int
 _VALUES_PER_WRITER = 500_000
 _MAX_WRITERS = 4
 # What a writer process runs. It ignores an interrupt: the main process decides what stops.
-_WRITER_CODE = (
+_SERVE_CODE = (
     "import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
     "import qcfc.cli; qcfc.cli._serve()"
 )
@@ -342,10 +340,6 @@ def _serve() -> None:
         replies.flush()
 
 
-# The writer of the command in progress, which `compare` shares with the commands it runs.
-_WRITER: ContextVar[_Writer | None] = ContextVar("writer", default=None)
-
-
 class _Writer:
     """Runs file-writing tasks in `workers` processes, or at once in this one if `workers` is 0.
 
@@ -358,12 +352,12 @@ class _Writer:
     `__main__`'s, which no writer can unpickle. Failures are raised in
     submission order, as serial writes would raise them: `submit` first
     raises that of the oldest finished task, so a failed write stops the
-    caller early, and `wait` waits for every task. Once one is raised, the
-    tasks not yet started are dropped. Leaving the `with` block waits the
-    same way (so a write that failed before the block's own error is the one
-    raised; an interrupt waits only for the tasks already running), then
-    closes the writers' pipes and waits for them to exit. Inside the block it
-    is the command's writer, `_WRITER`.
+    caller early, and `wait` waits for every task. A failed task stays
+    first in line, so every later call raises it again at once. Leaving the
+    `with` block waits the same way (so a write that failed before the
+    block's own error is the one raised; an interrupt does not wait), then
+    cancels the tasks not yet started, lets the running ones finish, closes
+    the writers' pipes and waits for them to exit.
     """
 
     def __init__(self, workers: int):
@@ -376,7 +370,7 @@ class _Writer:
             for _ in range(workers):
                 self._procs.append(
                     subprocess.Popen(
-                        [sys.executable, "-c", _WRITER_CODE],
+                        [sys.executable, "-c", _SERVE_CODE],
                         stdin=subprocess.PIPE,
                         stdout=subprocess.PIPE,
                         env=env,
@@ -424,22 +418,15 @@ class _Writer:
 
     def _collect(self, block: bool) -> None:
         """Retire the oldest finished tasks (all, if `block`); raise the first failure."""
-        try:
-            while self._pending and (block or self._pending[0].done()):
-                self._pending[0].result()
-                self._pending.popleft()
-        except BaseException:
-            self._drop()
-            raise
-
-    def _drop(self) -> None:
-        """Forget the pending tasks; those not yet started never will be."""
-        for future in self._pending:
-            future.cancel()
-        self._pending.clear()
+        while self._pending and (block or self._pending[0].done()):
+            self._pending[0].result()
+            self._pending.popleft()
 
     def _close(self) -> None:
-        """Let the running tasks finish, then close every writer's pipes and wait for it to exit."""
+        """Cancel the tasks not yet started and let the running ones finish.
+
+        Then close every writer's pipes and wait for it to exit.
+        """
         if self._threads is not None:
             self._threads.shutdown(cancel_futures=True)
         for proc in self._procs:
@@ -451,24 +438,18 @@ class _Writer:
             proc.stdout.close()
 
     def __enter__(self) -> "_Writer":
-        self._token = _WRITER.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _WRITER.reset(self._token)
         try:
             if exc_type is None or issubclass(exc_type, Exception):
                 self.wait()
-            else:
-                self._drop()
         finally:
             self._close()
 
 
-def _writing(n_values: int) -> ContextManager[_Writer]:
-    """The writer of the command in progress, left open after the block; else one for `n_values`."""
-    if (writer := _WRITER.get()) is not None:
-        return nullcontext(writer)
+def _writer_for(n_values: int) -> _Writer:
+    """A writer for a command that writes `n_values` timeseries values on this process's CPUs."""
     return _Writer(_writer_count(n_values, _usable_cpus()))
 
 
@@ -560,19 +541,20 @@ def _timeseries_values(cfg: PhantomConfig) -> int:
     return cfg.n_subjects * cfg.n_timepoints * cfg.n_rois
 
 
-def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
+def cmd_phantom(config_path: str, out_dir: str, writer: _Writer | None = None) -> PhantomCohort:
     """Generate the cohort a config describes, write it under `out_dir`, and return it.
 
     Writes the parcellation, truth matrix, config and per-subject files (the
-    subjects' through the command's writer), then the manifest once they all
-    are. An old `manifest.json` goes before the first write.
+    subjects' through `writer`, left open, or else one of its own), then the
+    manifest once they all are. An old `manifest.json` goes before the first
+    write.
     """
     cfg = _read_config(config_path)
     out = Path(out_dir)
     _require_cohort_dir(out)
     manifest_path = out / "manifest.json"
     # Writer processes start before the cohort is generated, so their imports overlap it.
-    with _writing(_timeseries_values(cfg)) as writer:
+    with _writer_for(_timeseries_values(cfg)) if writer is None else nullcontext(writer) as writer:
         cohort = generate_cohort(cfg)
         with suppress(FileNotFoundError, NotADirectoryError):
             manifest_path.unlink()
@@ -593,16 +575,14 @@ def cmd_phantom(config_path: str, out_dir: str) -> PhantomCohort:
 
 
 def correct_cohort(
-    bundles: Iterable[SubjectBundle], kind: PipelineKind, out: Path
+    bundles: Iterable[SubjectBundle], kind: PipelineKind, out: Path, writer: _Writer
 ) -> Iterator[tuple[str, SignalMatrix]]:
     """Correct and write each subject to `out/<subject_id>.csv`, yielding it once it is handed on.
 
-    Inside a command, the files go through its writer. An old
-    `run_info.json` goes just before the first file is written or handed
-    on. After the last subject, waits for every file, then writes
-    `run_info.json` and prints a summary line.
+    The files go through `writer`. An old `run_info.json` goes just before
+    the first file is written or handed on. After the last subject, waits
+    for every file, then writes `run_info.json` and prints a summary line.
     """
-    writer = _WRITER.get() or _Writer(0)
     spec = PipelineSpec(kind)
     n_subjects = 0
     for n_subjects, bundle in enumerate(bundles, 1):
@@ -627,8 +607,8 @@ def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> None:
     manifest, base = load_manifest(Path(manifest_path))
     bundles = (load_bundle(base, paths) for paths in manifest.subjects)
     first = next(bundles)
-    with _writing(len(manifest.subjects) * first.ts.values.size):
-        for _ in correct_cohort(itertools.chain([first], bundles), kind, Path(out_dir)):
+    with _writer_for(len(manifest.subjects) * first.ts.values.size) as writer:
+        for _ in correct_cohort(itertools.chain([first], bundles), kind, Path(out_dir), writer):
             pass
 
 
@@ -728,8 +708,8 @@ def compare(config_path: str, work: Path, bins: int) -> None:
     # The cohort's timeseries, then each pipeline's corrected ones.
     n_values = (1 + len(PipelineKind)) * _timeseries_values(_read_config(config_path))
     _require_cohort_dir(work / "cohort")
-    with _writing(n_values):
-        cohort = cmd_phantom(config_path, work / "cohort")
+    with _writer_for(n_values) as writer:
+        cohort = cmd_phantom(config_path, work / "cohort", writer)
         mfds = {}
         for b in cohort.bundles:
             with prefixed(f"subject {b.subject_id!r}"):
@@ -737,7 +717,7 @@ def compare(config_path: str, work: Path, bins: int) -> None:
         runs = {RAW_PIPELINE_NAME: ((b.subject_id, b.ts) for b in cohort.bundles)}
         for kind in PipelineKind:
             out = work / f"corrected_{kind.value}"
-            runs[kind.value] = correct_cohort(cohort.bundles, kind, out)
+            runs[kind.value] = correct_cohort(cohort.bundles, kind, out, writer)
         for name, timeseries in runs.items():
             subjects = ((sid, mfds[sid], ts) for sid, ts in timeseries)
             score_cohort(name, cohort.parcellation, subjects, work / f"qc_{name}.json", bins)

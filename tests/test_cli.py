@@ -362,6 +362,16 @@ class TestCorrectCommand:
         assert key in err and "relative path" in err
         assert not out.exists()
 
+    def test_subjects_may_share_component_files(self, cohort_dir, tmp_path):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        manifest = json.loads((cohort / "manifest.json").read_text())
+        for key in ("aroma", "physio"):
+            manifest["subjects"][1][key] = manifest["subjects"][0][key]
+        (cohort / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--manifest", str(cohort / "manifest.json"), "--pipeline", "concat"]
+        assert main(["correct", *argv, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize(
         "name, edit",
         [

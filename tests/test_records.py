@@ -180,15 +180,26 @@ def duplicate_first_subject_id(manifest):
     return manifest
 
 
+def share_first_ts_file(manifest):
+    """Point the second subject's `ts` at the first's file, spelled another way."""
+    manifest["subjects"][1]["ts"] = "sub-000/./ts.csv"
+    return manifest
+
+
 @pytest.mark.parametrize(
     "record, edit, message",
     [
         ("manifest", lambda m: {**m, "subjects": []}, "manifest must list at least one subject"),
         ("manifest", duplicate_first_subject_id, "duplicate subject_id 'sub-000' in manifest"),
+        (
+            "manifest",
+            share_first_ts_file,
+            "subjects 'sub-000' and 'sub-001' share the ts file 'sub-000/./ts.csv'",
+        ),
         ("report", lambda r: {**r, "n_edges": -1}, "n_edges must be >= 0, got -1"),
         ("run_info", lambda info: [info], "a record must be a JSON object"),
     ],
-    ids=["no-subjects", "duplicate-subject", "negative-count", "run_info-array"],
+    ids=["no-subjects", "duplicate-subject", "shared-ts", "negative-count", "run_info-array"],
 )
 def test_a_record_that_breaks_its_rules_exits_2(chain, tmp_path, record, edit, message):
     rc, err, out = run_on_record(chain, record, edit(record_json(chain, record)), tmp_path)

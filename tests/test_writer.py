@@ -7,6 +7,7 @@ failure a command reports, or what is left behind when it ends.
 import importlib.util
 import os
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -73,6 +74,29 @@ def fail_after(delay: float, message: str) -> None:
     """Writer task that raises OSError(message) after `delay` seconds."""
     time.sleep(delay)
     raise OSError(message)
+
+
+def touch_after(delay: float, path: str) -> None:
+    """Writer task that creates the file `path` after `delay` seconds."""
+    time.sleep(delay)
+    Path(path).touch()
+
+
+class LockedError(Exception):
+    """An exception that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def raise_locked(message: str) -> None:
+    raise LockedError(message)
+
+
+def locked_command() -> None:
+    with cli._Writer(1) as writer:
+        writer.submit(raise_locked, "held a lock")
 
 
 def dying_command() -> None:
@@ -158,23 +182,6 @@ def test_a_cohort_without_components_gives_one_tree_with_and_without_writers(
     assert aroma.shape == (40, 0) and labels == ()
 
 
-def test_the_command_writer_is_reset_after_a_block_that_raises():
-    with pytest.raises(DegenerateInputError):
-        with cli._Writer(0) as writer:
-            assert cli._WRITER.get() is writer
-            raise DegenerateInputError("inside")
-    assert cli._WRITER.get() is None
-
-
-def test_writing_inside_an_open_writer_returns_it_and_leaves_it_open():
-    with cli._Writer(1) as writer:
-        with cli._writing(10**9) as inner:
-            assert inner is writer
-        writer.submit(time.sleep, 0.0)
-        writer.wait()
-        assert cli._WRITER.get() is writer
-
-
 @pytest.mark.parametrize(
     "n_values, cpus, workers",
     [
@@ -227,6 +234,47 @@ def test_a_failed_write_stops_the_caller_at_its_next_submit():
             pytest.fail("the failed write was never raised")
 
 
+def test_a_failure_that_cannot_be_pickled_is_one_error_line_and_exit_3(capsys):
+    """The writer answers with an OSError carrying the failure's message."""
+    assert run_guarded(locked_command) == 3
+    assert capsys.readouterr().err == "error: held a lock\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("raised_by", ["leaving the block", "wait"])
+def test_tasks_not_yet_started_never_run_after_a_failure(tmp_path, raised_by):
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    with pytest.raises(OSError, match="^first$"):
+        with cli._Writer(1) as writer:
+            writer.submit(fail_after, 0.2, "first")
+            for i in range(10):
+                writer.submit(touch_after, 0.2, str(markers / str(i)))
+            if raised_by == "wait":
+                writer.wait()
+    # Only the task already running when the failure was raised may have run.
+    assert len(list(markers.iterdir())) <= 1
+    assert child_pids() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_writer_that_cannot_start_leaves_no_process(monkeypatch):
+    started = []
+    real_popen = cli.subprocess.Popen
+
+    def second_fails(*args, **kwargs):
+        if started:
+            raise OSError("no second writer")
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(cli.subprocess, "Popen", second_fails)
+    with pytest.raises(OSError, match="^no second writer$"):
+        cli._Writer(2)
+    assert len(started) == 1 and started[0].returncode == 0
+    assert child_pids() == []
+
+
 def test_a_write_failure_comes_before_a_later_error_of_the_caller():
     with pytest.raises(OSError, match="^write$"):
         with cli._Writer(1) as writer:
@@ -241,8 +289,8 @@ def test_tasks_of_cli_run_under_another_name_reach_the_writers(cohort, tmp_path,
     copy.__spec__, copy.__package__ = spec, "qcfc"
     monkeypatch.setitem(sys.modules, "cli_copy", copy)
     exec(compile(Path(spec.origin).read_text(), spec.origin, "exec"), vars(copy))
-    with copy._Writer(1):
-        copy.cmd_phantom(str(cohort.parent / "config.json"), str(tmp_path / "data"))
+    with copy._Writer(1) as writer:
+        copy.cmd_phantom(str(cohort.parent / "config.json"), str(tmp_path / "data"), writer)
     assert _tree_bytes(tmp_path / "data") == _tree_bytes(cohort)
 
 
