@@ -18,25 +18,13 @@ Formatting floats as text is most of a run's time, so `phantom`, `correct`
 and `compare` open one `_Writer` each (README, "Writer processes") and pass
 it down to the steps that write subjects' matrix files. Its writers are
 fresh interpreters fed over pipes, not `fork`ed: after `import numpy` this
-process already runs OpenBLAS threads. Every numeric step runs in this
-process, in the same order.
+process already runs OpenBLAS threads. `python -m qcfc.cli` runs the
+commands of the imported `qcfc.cli`, whose functions and records a writer
+can unpickle.
 
-Exit codes: 0 success; 2 invalid config (including one whose cohort
-overflows float64 or whose arrays are too large for NumPy to index, or a
-histogram bin count below 1 or whose bins + 1 float64 edges are too large
-for NumPy to index), unknown pipeline, schema mismatch, a mistyped or
-unknown field in a JSON record, or not enough memory (for example a phantom
-config too large to generate, or a bin count whose edges do not fit in
-memory); 3 filesystem failure (unwritable output, or a writer process that
-ended abruptly); 4 malformed, missing or inconsistent data file (including
-finite motion whose regressors or mean-FD sums overflow float64, a
-corrected directory whose `run_info.json` counts another number of
-subjects than the manifest lists, and QC reports of different subject or
-edge counts given to `report`); 5 degenerate input
-(too few subjects, constant mean FD, a pipeline stage that leaves fewer
-than 2 residual degrees of freedom). Data and JSON files are read as UTF-8;
-a file with an invalid byte is malformed (exit 4, or 2 for the `phantom`
-config). Paths inside a manifest are relative to the manifest's directory.
+`EXIT_CODES` maps each documented failure to its exit code; README's "Exit
+codes" table says which failures each code covers. Paths inside a manifest
+are relative to the manifest's directory.
 A directory is created by the first file written into it, so a `correct`
 that fails on its first subject leaves no output directory behind.
 `phantom` and `compare` refuse a cohort directory that is, or lies under,
@@ -64,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import importlib
 import itertools
 import os
 import pickle
@@ -315,7 +302,7 @@ def _usable_cpus() -> int:
 
 
 def _serve() -> None:
-    """A writer process's loop: run each pickled `(module, name, args)` task read from stdin.
+    """A writer process's loop: run each pickled `(task, args)` read from stdin as `task(*args)`.
 
     Answers each task on stdout with None or the exception it raised, and
     returns when stdin closes.
@@ -324,11 +311,11 @@ def _serve() -> None:
     sys.stdout = sys.stderr  # keeps any stray print off the reply pipe
     while True:
         try:
-            module, name, args = pickle.load(requests)
+            task, args = pickle.load(requests)
         except EOFError:
             return
         try:
-            getattr(importlib.import_module(module), name)(*args)
+            task(*args)
             reply = None
         except Exception as e:
             reply = e
@@ -345,11 +332,11 @@ class _Writer:
 
     `submit` queues a task and returns; a thread of this process hands it
     to an idle writer and waits for the answer. A task is a module-level
-    function, sent by module and name (this module's `_write_*`), so
-    replacing `write_matrix_csv` or `run_pipeline` in this module, as a
-    tracer does, changes nothing a writer runs. No argument is an instance
-    of a class of this module: under `python -m qcfc.cli` it would be
-    `__main__`'s, which no writer can unpickle. Failures are raised in
+    function (this module's `_write_*`), pickled by reference, so replacing
+    `write_matrix_csv` or `run_pipeline` in this module, as a tracer does,
+    changes nothing a writer runs. A task whose function or arguments a
+    writer cannot unpickle ends that writer: "a writer process ended
+    abruptly", exit code 3. Failures are raised in
     submission order, as serial writes would raise them: `submit` first
     raises that of the oldest finished task, so a failed write stops the
     caller early, and `wait` waits for every task. A failed task stays
@@ -391,13 +378,11 @@ class _Writer:
             task(*args)
             return
         self._collect(block=False)
-        # This module by its import name, also when it runs as `python -m qcfc.cli`.
-        module = __spec__.name if task.__module__ == __name__ else task.__module__
-        self._pending.append(self._threads.submit(self._run, module, task.__name__, args))
+        self._pending.append(self._threads.submit(self._run, task, args))
 
-    def _run(self, module: str, name: str, args: tuple) -> None:
+    def _run(self, task, args: tuple) -> None:
         """In a thread of this process: have an idle writer run a task; raise what it raised."""
-        request = pickle.dumps((module, name, args))
+        request = pickle.dumps((task, args))
         proc = self._idle.get()
         try:
             proc.stdin.write(request)
@@ -797,7 +782,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each documented failure and its exit code; see the module docstring.
+# Each documented failure and its exit code; README's "Exit codes" table lists what each covers.
 EXIT_CODES = {
     ValidationError: 2,
     SchemaError: 2,
@@ -828,4 +813,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # The imported module's commands, so each task and record a writer is sent is `qcfc.cli`'s.
+    from qcfc.cli import main
+
     sys.exit(main())

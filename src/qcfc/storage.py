@@ -19,9 +19,11 @@ reruns are byte-identical on the same CPU with the same BLAS thread count.
 Cohort and corrected files do not depend on that count (generation and the
 pipelines run on one OpenBLAS thread); QC reports and `comparison.csv`
 still can, since the connectivity products keep the caller's count. Every
-file is read and written as UTF-8. A file that cannot be opened or holds an
-invalid UTF-8 byte raises FileFormatError, a malformed file (exit code 4 in
-the CLI, 2 for the `phantom` config).
+file is read and written as UTF-8. A file that cannot be opened, holds an
+invalid UTF-8 byte, or that the CSV reader or JSON decoder refuses (a field
+over `csv.field_size_limit()`, an integer over Python's digit limit, nesting
+too deep to decode) raises FileFormatError, a malformed file (exit code 4
+in the CLI, 2 for the `phantom` config).
 
 The JSON records (the phantom config, the manifest and its subject entries,
 `run_info.json`, the QC report) share one rule, `Record`: at construction
@@ -132,7 +134,10 @@ def _read_table(path: Path, label_columns: int, header: tuple[str, ...] | None =
     cell finite. Returns the header, each row's label cells, and the float
     cells as a matrix; a header of no fields means a zero-column matrix.
     """
-    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    except csv.Error as e:
+        raise FileFormatError(f"{path}: {e}") from e
     if not rows:
         raise FileFormatError(f"{path}: empty file")
     found = tuple(rows[0])
@@ -204,7 +209,7 @@ def read_json(path: Path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError is a ValueError
         raise FileFormatError(f"{path}: invalid JSON: {e}") from e
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+import sys
 import tracemalloc
 
 import numpy as np
@@ -909,6 +910,46 @@ def test_invalid_utf8_is_a_malformed_file(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# Since 3.11 and 3.10.7, Python refuses to parse an integer of more than 4,300 digits by default.
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python parses an integer of any length",
+)
+
+
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        pytest.param("config", 2, marks=needs_digit_limit),
+        pytest.param("manifest", 4, marks=needs_digit_limit),
+        ("report", 4),
+    ],
+)
+def test_json_the_decoder_refuses_is_a_malformed_file(
+    cohort_dir, tmp_path, capsys, target, expected
+):
+    """A 5,000-digit integer in a config or manifest; a report nested 200,000 lists deep."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    out = tmp_path / "out"
+    config, manifest, report = tmp_path / "c.json", cohort / "manifest.json", tmp_path / "qc.json"
+    big = "9" * 5000
+    config.write_text(json.dumps(TINY_CFG).replace('"seed": 3', f'"seed": {big}'))
+    manifest.write_text(manifest.read_text().replace("{", f'{{"n": {big},', 1))
+    report.write_text("[" * 200_000)
+    bad, argv = {
+        "config": (config, ["phantom", "--config", str(config), "--out", str(out)]),
+        "manifest": (manifest, ["qc", "--manifest", str(manifest), "--raw", "--report", str(out)]),
+        "report": (report, ["report", str(report), "--csv", str(out)]),
+    }[target]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert f"{bad}: invalid JSON: " in err
     assert "Traceback" not in err
     assert not out.exists()
 

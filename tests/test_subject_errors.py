@@ -4,6 +4,7 @@ The line carries the exit code of the error's class, whichever command or
 step raised it.
 """
 
+import csv
 import shutil
 
 import pytest
@@ -150,3 +151,26 @@ def test_design_without_residual_degrees_of_freedom_names_the_subject(
     assert err.startswith("error: subject 'sub-000': ") and len(err.splitlines()) == 1
     assert "leaves 0 residual degrees of freedom; need at least 2" in err
     assert not (tmp_path / "out" / "sub-000.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["qc-raw", "correct"])
+def test_csv_the_reader_cannot_split_names_the_subject_and_file(
+    cohort, tmp_path, capsys, command
+):
+    """A stray quote that opens a field longer than `csv.field_size_limit()`."""
+    data = tmp_path / "data"
+    shutil.copytree(cohort / "data", data)
+    ts = data / FAULTY / "ts.csv"
+    header, body = ts.read_text().split("\n", 1)
+    ts.write_text(f'{header}\n"{body * (csv.field_size_limit() // len(body) + 1)}')
+    if command == "correct":
+        # A rerun, which removes the old run_info.json before its first file.
+        shutil.copytree(cohort / "concat", tmp_path / "out")
+    argv = cli_argv(command, cohort, tmp_path)
+    argv[argv.index("--manifest") + 1] = str(data / "manifest.json")
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert_one_line_naming_the_subject(err)
+    assert f"{ts}: field larger than field limit" in err
+    assert not (tmp_path / "out" / "run_info.json").exists()
+    assert not (tmp_path / "qc.json").exists()

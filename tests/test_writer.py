@@ -4,12 +4,11 @@ The writers change where the files are formatted, never their bytes, which
 failure a command reports, or what is left behind when it ends.
 """
 
-import importlib.util
 import os
+import subprocess
 import sys
 import threading
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -282,16 +281,45 @@ def test_a_write_failure_comes_before_a_later_error_of_the_caller():
             raise DegenerateInputError("later")
 
 
-def test_tasks_of_cli_run_under_another_name_reach_the_writers(cohort, tmp_path, monkeypatch):
-    """As under `python -m qcfc.cli`, where `cli`'s functions and classes belong to `__main__`."""
-    spec = importlib.util.find_spec("qcfc.cli")
-    copy = types.ModuleType("cli_copy")
-    copy.__spec__, copy.__package__ = spec, "qcfc"
-    monkeypatch.setitem(sys.modules, "cli_copy", copy)
-    exec(compile(Path(spec.origin).read_text(), spec.origin, "exec"), vars(copy))
-    with copy._Writer(1) as writer:
-        copy.cmd_phantom(str(cohort.parent / "config.json"), str(tmp_path / "data"), writer)
-    assert _tree_bytes(tmp_path / "data") == _tree_bytes(cohort)
+# Run in a child interpreter: `qcfc.cli` as `__main__`, as `python -m qcfc.cli` runs it,
+# with two writers forced on the imported `qcfc.cli` and each of its pools recorded.
+_RUN_AS_MAIN = """
+import runpy, sys, warnings
+import qcfc.cli as cli
+
+cli._VALUES_PER_WRITER = 1
+cli._usable_cpus = lambda: 2
+pools = []
+
+
+def writer_for(n_values, real=cli._writer_for):
+    pools.append(real(n_values))
+    return pools[-1]
+
+
+cli._writer_for = writer_for
+# runpy warns that the module it runs was imported first, as it was just above.
+warnings.filterwarnings("ignore", "'qcfc.cli' found in sys.modules", RuntimeWarning)
+sys.argv = ["qcfc", *sys.argv[1:]]
+try:
+    runpy.run_module("qcfc.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    print("exit", e.code, "writers", [len(pool._procs) for pool in pools])
+"""
+
+
+def test_python_m_qcfc_cli_runs_the_commands_of_the_imported_module(cohort, tmp_path):
+    """Its writers get tasks and records of `qcfc.cli`, which they can unpickle."""
+    out = tmp_path / "data"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    argv = ["phantom", "--config", str(cohort.parent / "config.json"), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _RUN_AS_MAIN, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stderr == ""
+    assert run.stdout.splitlines()[-1] == "exit 0 writers [2]"
+    assert _tree_bytes(out) == _tree_bytes(cohort)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
@@ -312,7 +340,7 @@ def test_no_process_outlives_a_command(cohort, tmp_path, writers, outcome):
 
 
 def test_replaced_cli_names_leave_the_tree_unchanged(tmp_path, writers, monkeypatch):
-    """Writers get tasks by module and name, so closures in `cli` (a tracer's) never reach them."""
+    """A task is pickled by reference, so closures in `cli` (a tracer's) never reach a writer."""
     cfg = write_small_config(tmp_path / "config.json")
     plain = tmp_path / "plain"
     assert run_script(monkeypatch, "--config", str(cfg), "--workdir", str(plain)) == 0
