@@ -290,17 +290,24 @@ def fc_matrix(ts: SignalMatrix) -> FcMatrix:
 
     Diagonal is set to exactly 1 and the result is symmetrized; off-
     diagonal rounding is clipped into [-1, 1]. A constant ROI column has
-    no defined correlation and is reported by name.
+    no defined correlation and is reported by name. Each column is first
+    scaled by the power of two that brings its max|x| into [0.5, 1), which
+    is exact: so r keeps its bits under any power-of-two scale of a column,
+    and no product overflows or underflows, however large or small the
+    values.
     """
     values = ts.values
     n, r = values.shape
     if n < 3:
         raise DegenerateInputError(f"need at least 3 timepoints for correlation, got {n}")
     labels = ts.column_labels if ts.column_labels is not None else default_roi_labels(r)
-    centered = values - values.mean(axis=0, keepdims=True)
+    max_abs = _max_abs(values)
+    exponent = np.frexp(max_abs)[1]
+    centered = np.ldexp(values, -exponent)
+    centered -= centered.mean(axis=0, keepdims=True)
     gram = centered.T @ centered
     ss = np.diag(gram).copy()
-    dead = np.flatnonzero(~_varies(ss, values))
+    dead = np.flatnonzero(~_varies(ss, values, np.ldexp(max_abs, -exponent)))
     if dead.size:
         raise DegenerateInputError(f"ROI column {labels[dead[0]]!r} is constant")
     corr = gram / np.sqrt(np.multiply.outer(ss, ss))

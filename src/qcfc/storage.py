@@ -23,7 +23,9 @@ file is read and written as UTF-8. A file that cannot be opened, holds an
 invalid UTF-8 byte, or that the CSV reader or JSON decoder refuses (a field
 over `csv.field_size_limit()`, an integer over Python's digit limit, nesting
 too deep to decode) raises FileFormatError, a malformed file (exit code 4
-in the CLI, 2 for the `phantom` config).
+in the CLI, 2 for the `phantom` config). So does a CSV float cell that is
+not finite, or nonzero and subnormal (below 2.2e-308), whose value has lost
+digits.
 
 The JSON records (the phantom config, the manifest and its subject entries,
 `run_info.json`, the QC report) share one rule, `Record`: at construction
@@ -131,8 +133,9 @@ def _read_table(path: Path, label_columns: int, header: tuple[str, ...] | None =
 
     A given `header` must match the file's exactly; it is checked before any
     row is parsed. Every row must be as wide as the header and every float
-    cell finite. Returns the header, each row's label cells, and the float
-    cells as a matrix; a header of no fields means a zero-column matrix.
+    cell finite, and 0 or normal (not subnormal). Returns the header, each
+    row's label cells, and the float cells as a matrix; a header of no
+    fields means a zero-column matrix.
     """
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
@@ -157,6 +160,14 @@ def _read_table(path: Path, label_columns: int, header: tuple[str, ...] | None =
                 raise FileFormatError(f"{path}: row {i + 2}, column {j + 1}: {e}") from e
     if not np.all(np.isfinite(data)):
         raise FileFormatError(f"{path}: contains non-finite values")
+    # A subnormal holds fewer than 17 significant digits: its file lost precision.
+    subnormal = np.argwhere((np.abs(data) < np.finfo(float).tiny) & (data != 0))
+    if subnormal.size:
+        i, j = subnormal[0]
+        raise FileFormatError(
+            f"{path}: row {i + 2}, column {j + label_columns + 1}:"
+            f" {rows[i + 1][j + label_columns]!r} is subnormal, below {np.finfo(float).tiny:g}"
+        )
     return found, [tuple(row[:label_columns]) for row in rows[1:]], data
 
 

@@ -261,6 +261,22 @@ class TestFcMatrix:
         transformed = fc_matrix(SignalMatrix(ts * scales + shifts)).values
         assert np.abs(base - transformed).max() <= 1e-12
 
+    # Every |x| is above 2**-20, so no column scaled by 2**-1000 turns subnormal.
+    SCALED_TS = np.random.default_rng(12).standard_normal((200, 12))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.integers(-1000, 1000), min_size=12, max_size=12))
+    @example([-1000] * 12)
+    @example([-300] * 12)
+    @example([300] * 12)
+    @example([1000] * 12)
+    def test_power_of_two_scales_keep_every_bit(self, exponents):
+        """Pearson r does not see a column's scale; any power of two keeps every bit of it."""
+        assert np.abs(self.SCALED_TS).min() > 2.0**-20
+        base = fc_matrix(SignalMatrix(self.SCALED_TS)).values
+        scaled = fc_matrix(SignalMatrix(np.ldexp(self.SCALED_TS, exponents))).values
+        assert scaled.tobytes() == base.tobytes()
+
     def test_type_rejects_asymmetry(self):
         bad = np.eye(3)
         bad[0, 1] = 0.5

@@ -49,9 +49,13 @@ FLOAT64S = st.one_of(
     st.sampled_from(EDGE_FLOATS),
     st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))),
 )
-FINITE_FLOAT64S = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([x for x in EDGE_FLOATS if np.isfinite(x)]),
+# Any float64 the reader takes back: finite, and 0 or normal.
+READABLE_FLOATS = [
+    x for x in EDGE_FLOATS if np.isfinite(x) and not 0 < abs(x) < np.finfo(float).tiny
+]
+READABLE_FLOAT64S = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
+    st.sampled_from(READABLE_FLOATS),
 )
 
 
@@ -232,11 +236,13 @@ class TestParcellationCsv:
     @given(
         st.lists(LABEL_TEXT, min_size=2, max_size=6, unique=True).flatmap(
             lambda labels: st.tuples(
-                st.just(labels), arrays(np.float64, (len(labels), 3), elements=FINITE_FLOAT64S)
+                st.just(labels), arrays(np.float64, (len(labels), 3), elements=READABLE_FLOAT64S)
             )
         )
     )
-    @example((["a,b", 'q"d', "l\nf", "c\rr", "\r\n", ""], np.array([EDGE_FLOATS[:6]] * 3).T))
+    @example(
+        (["a,b", 'q"d', "l\nf", "c\rr", "\r\n", ""], np.array([READABLE_FLOATS * 2] * 3).T[:6])
+    )
     def test_any_labels_and_coordinates_survive(self, tmp_path, labelled_coords):
         labels, coords = labelled_coords
         path = tmp_path / "parc.csv"
@@ -251,8 +257,9 @@ class TestParcellationCsv:
             ("a,0,0\nb,1,1,1\n", "row 2 has 3 fields, header has 4"),
             ("a,0,oops,0\nb,1,1,1\n", "row 2, column 3: could not convert"),
             ("a,0,inf,0\nb,1,1,1\n", "contains non-finite values"),
+            ("a,0,0,0\nb,1,-2.2e-308,1\n", "row 3, column 3: '-2.2e-308' is subnormal"),
         ],
-        ids=["short-row", "bad-cell", "non-finite"],
+        ids=["short-row", "bad-cell", "non-finite", "subnormal"],
     )
     def test_errors_read_as_the_matrix_reader_words_them(self, tmp_path, body, message):
         path = tmp_path / "parc.csv"

@@ -4,7 +4,6 @@ The line carries the exit code of the error's class, whichever command or
 step raised it.
 """
 
-import csv
 import shutil
 
 import pytest
@@ -104,37 +103,6 @@ def test_error_in_one_subject_names_it_once(
     assert err.rstrip("\n").endswith("injected failure")
 
 
-def make_column_constant(lines: list[str]) -> list[str]:
-    return [lines[0], *(",".join(["1.5", *line.split(",")[1:]]) for line in lines[1:])]
-
-
-def keep_two_rows(lines: list[str]) -> list[str]:
-    return lines[:3]
-
-
-@pytest.mark.parametrize(
-    "files, edit, message",
-    [
-        (("ts",), make_column_constant, "ROI column 'roi_000' is constant"),
-        (("ts", "motion", "aroma", "physio"), keep_two_rows, "need at least 3 timepoints"),
-    ],
-    ids=["constant-roi-column", "two-timepoints"],
-)
-def test_degenerate_subject_file_names_the_subject(
-    cohort, tmp_path, capsys, files, edit, message
-):
-    data = tmp_path / "data"
-    shutil.copytree(cohort / "data", data)
-    for name in files:
-        path = data / FAULTY / f"{name}.csv"
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    argv = ["qc", "--manifest", str(data / "manifest.json"), "--raw", "--report"]
-    assert main([*argv, str(tmp_path / "qc.json")]) == 5
-    err = capsys.readouterr().err
-    assert_one_line_naming_the_subject(err)
-    assert message in err
-
-
 @pytest.mark.parametrize("pipeline", ["concat", "seq-hmp-aroma-physio", "seq-aroma-hmp-physio"])
 def test_design_without_residual_degrees_of_freedom_names_the_subject(
     cohort, tmp_path, capsys, pipeline
@@ -151,26 +119,3 @@ def test_design_without_residual_degrees_of_freedom_names_the_subject(
     assert err.startswith("error: subject 'sub-000': ") and len(err.splitlines()) == 1
     assert "leaves 0 residual degrees of freedom; need at least 2" in err
     assert not (tmp_path / "out" / "sub-000.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["qc-raw", "correct"])
-def test_csv_the_reader_cannot_split_names_the_subject_and_file(
-    cohort, tmp_path, capsys, command
-):
-    """A stray quote that opens a field longer than `csv.field_size_limit()`."""
-    data = tmp_path / "data"
-    shutil.copytree(cohort / "data", data)
-    ts = data / FAULTY / "ts.csv"
-    header, body = ts.read_text().split("\n", 1)
-    ts.write_text(f'{header}\n"{body * (csv.field_size_limit() // len(body) + 1)}')
-    if command == "correct":
-        # A rerun, which removes the old run_info.json before its first file.
-        shutil.copytree(cohort / "concat", tmp_path / "out")
-    argv = cli_argv(command, cohort, tmp_path)
-    argv[argv.index("--manifest") + 1] = str(data / "manifest.json")
-    assert main(argv) == 4
-    err = capsys.readouterr().err
-    assert_one_line_naming_the_subject(err)
-    assert f"{ts}: field larger than field limit" in err
-    assert not (tmp_path / "out" / "run_info.json").exists()
-    assert not (tmp_path / "qc.json").exists()
