@@ -152,6 +152,21 @@ class TestPhantomCommand:
         cfg = write_config(tmp_path / "c.json", artifact_length_scale=1e-310)
         assert main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
 
+    def test_out_path_collision_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24)
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        rc = main(["phantom", "--config", str(cfg), "--out", str(blocked)])
+        assert rc == 3
+
+    def test_out_path_collision_names_the_first_file_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24)
+        blocked = tmp_path / "blocked"
+        blocked.write_text("")
+        assert main(["phantom", "--config", str(cfg), "--out", str(blocked)]) == 3
+        target = str(blocked / "parcellation.csv")
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
+
     @pytest.mark.parametrize("below", [(), ("sub", "dir")], ids=["file", "under-a-file"])
     def test_out_path_under_a_file_is_refused_before_generating(
         self, tmp_path, capsys, monkeypatch, below
@@ -643,6 +658,32 @@ class TestQcCommand:
         )
         assert rc == 5
 
+    def test_zero_bins_exits_2(self, cohort_dir, tmp_path):
+        rc = main(
+            [
+                "qc",
+                "--manifest",
+                str(cohort_dir / "manifest.json"),
+                "--raw",
+                "--report",
+                str(tmp_path / "qc.json"),
+                "--bins",
+                "0",
+            ]
+        )
+        assert rc == 2
+
+    def test_zero_bins_refused_before_reading_a_subject(self, cohort_dir, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        ts = cohort / "sub-000" / "ts.csv"
+        ts.write_text(ts.read_text().replace(",", ",oops", 1))
+        report = tmp_path / "qc.json"
+        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
+        assert main([*argv, "--bins", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bins must be >= 1, got 0\n"
+        assert not report.exists()
 
 
 def test_histogram_bins_are_refused_where_numpy_cannot_index_their_edges():
