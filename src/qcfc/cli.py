@@ -77,7 +77,6 @@ from .errors import (
     prefixed,
 )
 from .metrics import (
-    Parcellation,
     _qcfc_edges,
     distance_dependence,
     edge_lengths,
@@ -117,6 +116,7 @@ __all__ = [
     "correct_cohort",
     "score_cohort",
     "compare",
+    "ArgumentParser",
     "run_guarded",
     "cmd_phantom",
     "cmd_correct",
@@ -304,21 +304,24 @@ def _usable_cpus() -> int:
 def _serve() -> None:
     """A writer process's loop: run each pickled `(task, args)` read from stdin as `task(*args)`.
 
-    Answers each task on stdout with None or the exception it raised, and
-    returns when stdin closes.
+    A request is its length (8 bytes), then the pickle, so one that cannot
+    be unpickled is read whole and answered. Answers each task on stdout
+    with None or the exception it raised, and returns when stdin closes.
     """
     requests, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # keeps any stray print off the reply pipe
-    while True:
+    while header := requests.read(8):
+        request = requests.read(int.from_bytes(header, "little"))
         try:
-            task, args = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            task(*args)
-            reply = None
+            task, args = pickle.loads(request)
         except Exception as e:
-            reply = e
+            reply = OSError(f"a writer could not load its task: {e}")
+        else:
+            try:
+                task(*args)
+                reply = None
+            except Exception as e:
+                reply = e
         try:
             data = pickle.dumps(reply)
         except Exception:
@@ -335,8 +338,8 @@ class _Writer:
     function (this module's `_write_*`), pickled by reference, so replacing
     `write_matrix_csv` or `run_pipeline` in this module, as a tracer does,
     changes nothing a writer runs. A task whose function or arguments a
-    writer cannot unpickle ends that writer: "a writer process ended
-    abruptly", exit code 3. Failures are raised in
+    writer cannot unpickle fails with "a writer could not load its task",
+    exit code 3, and the writer goes on serving. Failures are raised in
     submission order, as serial writes would raise them: `submit` first
     raises that of the oldest finished task, so a failed write stops the
     caller early, and `wait` waits for every task. A failed task stays
@@ -385,6 +388,7 @@ class _Writer:
         request = pickle.dumps((task, args))
         proc = self._idle.get()
         try:
+            proc.stdin.write(len(request).to_bytes(8, "little"))
             proc.stdin.write(request)
             proc.stdin.flush()
             reply = pickle.load(proc.stdout)
@@ -599,7 +603,7 @@ def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> None:
 
 def score_cohort(
     pipeline_name: str,
-    parcellation: Parcellation,
+    lengths: np.ndarray,
     subjects: Iterable[Subject],
     report_path: Path,
     bins: int,
@@ -607,9 +611,9 @@ def score_cohort(
     """Score a cohort with QC-FC and distance dependence; write the report and its histogram CSV.
 
     Each subject arrives with its mean FD and with a timeseries that already
-    carries the parcellation's ROI labels. Only the subject's edges outlive
-    its connectivity matrix, so scoring holds one subjects x edges array and
-    peaks at about twice its size.
+    carries the ROI labels of the parcellation with these `edge_lengths`.
+    Only the subject's edges outlive its connectivity matrix, so scoring
+    holds one subjects x edges array and peaks at about twice its size.
     """
     rows, mfds = [], []
     for subject_id, mfd, ts in subjects:
@@ -619,7 +623,7 @@ def score_cohort(
     edges = np.array(rows)
     del rows  # freed before scoring copies the edges
     report = _qcfc_edges(edges, np.array(mfds))
-    rho, p = distance_dependence(report, edge_lengths(parcellation))
+    rho, p = distance_dependence(report, lengths)
     run_report = RunReport(
         pipeline=pipeline_name,
         n_subjects=report.n_subjects,
@@ -645,6 +649,8 @@ def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins
     _require_bins(bins)
     manifest, base = load_manifest(Path(manifest_path))
     parc = read_parcellation_csv(base / manifest.parcellation_path)
+    with prefixed(manifest.parcellation_path):
+        lengths = edge_lengths(parc)
     if raw:
         pipeline_name = RAW_PIPELINE_NAME
     else:
@@ -679,7 +685,7 @@ def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins
                 mfd = mean_fd(framewise_displacement(motion))
             yield sid, mfd, ts
 
-    score_cohort(pipeline_name, parc, subjects(), Path(report_path), bins)
+    score_cohort(pipeline_name, lengths, subjects(), Path(report_path), bins)
 
 
 def compare(config_path: str, work: Path, bins: int) -> None:
@@ -699,13 +705,14 @@ def compare(config_path: str, work: Path, bins: int) -> None:
         for b in cohort.bundles:
             with prefixed(f"subject {b.subject_id!r}"):
                 mfds[b.subject_id] = mean_fd(framewise_displacement(b.motion))
+        lengths = edge_lengths(cohort.parcellation)
         runs = {RAW_PIPELINE_NAME: ((b.subject_id, b.ts) for b in cohort.bundles)}
         for kind in PipelineKind:
             out = work / f"corrected_{kind.value}"
             runs[kind.value] = correct_cohort(cohort.bundles, kind, out, writer)
         for name, timeseries in runs.items():
             subjects = ((sid, mfds[sid], ts) for sid, ts in timeseries)
-            score_cohort(name, cohort.parcellation, subjects, work / f"qc_{name}.json", bins)
+            score_cohort(name, lengths, subjects, work / f"qc_{name}.json", bins)
     print()
     cmd_report([str(work / f"qc_{name}.json") for name in runs], str(work / "comparison.csv"))
 
@@ -744,8 +751,15 @@ def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
         print(f"comparison csv: {csv_path}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as ValidationError: parsed in `run_guarded`, it is one line, exit 2."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="qcfc",
         description="Nuisance-regression pipeline comparison and QC-FC metrics",
     )
@@ -791,14 +805,19 @@ EXIT_CODES = {
     FileFormatError: 4,
     DataIntegrityError: 4,
     DimensionError: 4,
+    FloatingPointError: 4,
     DegenerateInputError: 5,
 }
 
 
 def run_guarded(command, *args) -> int:
-    """Call `command(*args)`; map a documented failure to its exit code and one `error:` line."""
+    """Call `command(*args)`; map a documented failure to its exit code and one `error:` line.
+
+    NumPy raises FloatingPointError in the command, so no float error ends in a warning.
+    """
     try:
-        command(*args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            command(*args)
     except tuple(EXIT_CODES) as e:
         # A bare MemoryError (or OSError) carries no message of its own.
         message = str(e) or ("not enough memory" if isinstance(e, MemoryError) else repr(e))
@@ -808,8 +827,11 @@ def run_guarded(command, *args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run_guarded(args.run, args)
+    def command() -> None:
+        args = _build_parser().parse_args(argv)
+        args.run(args)
+
+    return run_guarded(command)
 
 
 if __name__ == "__main__":

@@ -47,9 +47,12 @@ def prefixed(prefix: str, as_type: type[QcfcError] | None = None):
 
     Every re-raise that names the subject, file or field at fault goes
     through here. The error keeps its class (so its exit code) unless
-    `as_type` is given; anything else passes through untouched.
+    `as_type` is given; a FloatingPointError becomes a DataIntegrityError
+    (or `as_type`), "floating-point" added. Anything else passes through.
     """
     try:
         yield
     except QcfcError as e:
         raise (as_type or type(e))(f"{prefix}: {e}") from e
+    except FloatingPointError as e:
+        raise (as_type or DataIntegrityError)(f"{prefix}: floating-point {e}") from e

@@ -59,6 +59,14 @@ def write_config(path, **overrides):
 
 
 @pytest.fixture(scope="session")
+def refusal_base(tmp_path_factory):
+    """The cohort every case of `tests/refusals.py` copies, written through `qcfc.cli.main`."""
+    from .refusals import in_process, make_base  # it imports this module
+
+    return make_base(tmp_path_factory.mktemp("refusals") / "base", in_process)
+
+
+@pytest.fixture(scope="session")
 def reference_cohort():
     return generate_cohort(REFERENCE_CONFIG)
 

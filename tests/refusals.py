@@ -2,14 +2,16 @@
 
 A case copies one small phantom cohort, changes the copy, runs one command
 in it and checks how the command refuses: its exit code, its stderr, and
-the paths it must not leave behind. Every refusal prints exactly one
-`error:` line and no traceback; a usage error from argparse prints its
-usage lines first. Two runners take the same table:
+the paths it must not leave behind. Every refusal, a usage error included,
+prints exactly one `error:` line and nothing else. Two runners take the
+same table:
 
-    pytest tests/test_refusals.py   # each case through `qcfc.cli.main`, in this process
+    pytest tests/                   # each case through `qcfc.cli.main`, in this process
     python -m tests.refusals        # each case through the installed `qcfc` console script
 
-A new refusal is one more `Refusal` in `CASES`.
+pytest runs a case in `test_refusals.py`, or in `test_cli.py` under the id of
+the hand-written test it replaced. A new refusal is one more `Refusal` in
+`CASES`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ MANIFEST = ["--manifest", "cohort/manifest.json"]
 CORRECT = ["correct", *MANIFEST, "--pipeline", "concat", "--out", "out"]
 QC_RAW = ["qc", *MANIFEST, "--raw", "--report", "qc.json"]
 QC_CORRECTED = ["qc", *MANIFEST, "--corrected", "corrected_concat", "--report", "qc.json"]
+PHANTOM = ["phantom", "--config", "c.json", "--out", "out"]
 # What every case copies: `config.json` (TINY_CFG) and these commands' outputs.
 BASE_COMMANDS = [
     ["phantom", "--config", "config.json", "--out", "cohort"],
@@ -52,8 +55,9 @@ BIG = "9" * 5000
 
 @dataclass(frozen=True)
 class Refusal:
-    """One refused command: `stderr` is its whole last line if it starts with `error: `, else a
-    fragment of it. `setup` changes the copied cohort first, and may run commands with `run`."""
+    """One refused command: `stderr` is its whole line if it starts with `error: `, else how the
+    message after `error: ` starts; `{work}` in it stands for the case's directory. `setup` changes
+    the copied cohort first, and may run commands with `run`."""
 
     name: str
     argv: list
@@ -130,6 +134,59 @@ def keep(n: int) -> Callable[[list], list]:
     return lambda lines: lines[:n]
 
 
+def config(**overrides) -> Callable[[Run], object]:
+    """A setup that writes TINY_CFG with `overrides` to `c.json`."""
+    return lambda run: write_config(Path("c.json"), **overrides)
+
+
+def append_invalid_utf8(path: str) -> None:
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+
+
+def huge_cells(path: str) -> None:
+    """Set every cell of a matrix file to 1e308 or 1.5e308, alternating by row and by column:
+    finite values whose sums overflow float64."""
+    lines = Path(path).read_text().splitlines()
+    rows = [",".join(("1e308", "1.5e308")[(i + j) % 2] for j in range(len(line.split(","))))
+            for i, line in enumerate(lines[1:])]
+    Path(path).write_text("".join(line + "\n" for line in [lines[0], *rows]))
+
+
+def keep_subjects(n: int) -> None:
+    """Keep the first `n` subjects of the manifest."""
+    listed = json.loads(Path(MANIFEST[1]).read_text())["subjects"]
+    set_json(MANIFEST[1], listed[:n], "subjects")
+
+
+def report_with(field: str, value) -> Callable[[Run], object]:
+    """A setup that writes `qc.json`, the raw report with `field` set to `value`."""
+    def setup(run: Run) -> None:
+        shutil.copy("qc_raw.json", "qc.json")
+        set_json("qc.json", value, field)
+    return setup
+
+
+# `subject_id` values that are not one path component, by row name.
+SUBJECT_IDS = {"escaping": "../../escaped", "slash": "a/b", "backslash": "a\\b", "empty": "",
+               "dot": ".", "dotdot": "..", "nul": "a\x00b"}
+# Manifest paths that leave the manifest's directory, by row name: (the keys to the field, path).
+OUTSIDE_PATHS = {
+    "absolute-ts": (("subjects", 0, "ts"), "{work}/cohort/sub-001/ts.csv"),
+    "parent-motion": (("subjects", 0, "motion"), "../cohort/sub-001/motion.csv"),
+    "inner-dotdot-aroma": (("subjects", 0, "aroma"), "sub-000/../sub-001/aroma.csv"),
+    "backslash-physio": (("subjects", 0, "physio"), "..\\cohort\\sub-001\\physio.csv"),
+    "absolute-parcellation": (("parcellation_path",), "{work}/cohort/parcellation.csv"),
+}
+
+
+def far_parcellation(run: Run) -> None:
+    """ROI centroids at x = +-1e308, whose distances overflow float64."""
+    for row in range(1, TINY_CFG["n_rois"] + 1):
+        set_cells("cohort/parcellation.csv", [row], 1, "1e308" if row % 2 else "-1e308")
+
+
+OVERFLOWING_CONFIG = "config: the cohort it describes overflows float64 ("
 SHORT = "error: subject 'sub-000': sub-000/{}.csv: design matrix needs at least 2 rows, got 0"
 OVER_LIMIT = (
     "error: subject 'sub-002': cohort/sub-002/ts.csv: field larger than field limit"
@@ -139,9 +196,9 @@ CASES = [
     Refusal("out-is-a-file", ["phantom", "--config", "config.json", "--out", "config.json"], 3,
             "error: [Errno 20] Not a directory: 'config.json/parcellation.csv'"),
     Refusal("qc-both-sources", [*QC_RAW, "--corrected", "corrected_concat"], 2,
-            "argument --corrected: not allowed with argument --raw", ("qc.json",)),
+            "error: qcfc qc: argument --corrected: not allowed with argument --raw", ("qc.json",)),
     Refusal("qc-no-source", ["qc", *MANIFEST, "--report", "qc.json"], 2,
-            "one of the arguments --corrected --raw is required", ("qc.json",)),
+            "error: qcfc qc: one of the arguments --corrected --raw is required", ("qc.json",)),
     Refusal("corrected-of-another-cohort",
             ["qc", "--manifest", "cohort4/manifest.json", "--corrected", "corrected_concat",
              "--report", "qc.json"], 4,
@@ -157,8 +214,8 @@ CASES = [
             ("comparison.csv",), lambda run: other_cohort(run, report=True)),
     # JSON the decoder refuses is a malformed file: exit 2 for the config, 4 otherwise.
     Refusal("config-integer-beyond-digit-limit",
-            ["phantom", "--config", "big.json", "--out", "out"], 2, "big.json: invalid JSON: ",
-            ("out",),
+            ["phantom", "--config", "big.json", "--out", "out"], 2,
+            "config: big.json: invalid JSON: ", ("out",),
             lambda run: Path("big.json").write_text(
                 json.dumps(TINY_CFG).replace('"seed": 3', f'"seed": {BIG}')),
             NO_DIGIT_LIMIT),
@@ -220,6 +277,155 @@ CASES = [
             "error: subject 'sub-001': cohort/sub-001/ts.csv: row 6, column 2:"
             " '4.9406564584124654e-324' is subnormal, below 2.22507e-308", ("qc.json",),
             lambda run: set_cells("cohort/sub-001/ts.csv", [5], 1, "4.9406564584124654e-324")),
+    # Phantom configs, each refused before anything is written.
+    Refusal("config-zero-subjects", PHANTOM, 2, "error: config: n_subjects must be >= 3, got 0",
+            ("out",), config(n_subjects=0)),
+    Refusal("config-unknown-field", PHANTOM, 2, "error: config: unknown field 'bogus'", ("out",),
+            config(bogus=1)),
+    Refusal("config-missing", ["phantom", "--config", "nope.json", "--out", "out"], 2,
+            "error: config: cannot read nope.json: [Errno 2] No such file or directory:"
+            " 'nope.json'", ("out",)),
+    Refusal("config-larger-than-memory", PHANTOM, 2, "Unable to allocate ", ("out",),
+            config(n_timepoints=10**12)),
+    *(Refusal(f"config-{field.replace('_', '-')}-beyond-numpy", PHANTOM, 2,
+              f"error: config: {shape} float64 array is more than NumPy can index", ("out",),
+              config(**{field: 2**62}))
+      for field, shape in (
+          ("n_rois", f"n_rois: a {2**62} x {2**62}"),
+          ("n_timepoints", f"n_timepoints: a {2**62} x 24"),
+          ("n_aroma_components", f"n_timepoints and n_aroma_components: a 40 x {2**62}"))),
+    Refusal("config-gain-overflows", PHANTOM, 2, OVERFLOWING_CONFIG, ("out",),
+            config(artifact_gain=1e308)),
+    Refusal("config-amplitude-overflows", PHANTOM, 2, OVERFLOWING_CONFIG, ("out",),
+            config(motion_amplitude_range=[1e300, 1e301])),
+    Refusal("config-integer-beyond-float", PHANTOM, 2,
+            "error: config: artifact_gain must be finite, got an integer beyond float range",
+            ("out",), config(artifact_gain=10**400)),
+    Refusal("out-is-a-file-before-overflowing-config", [*PHANTOM[:-1], "config.json"], 3,
+            "error: [Errno 20] Not a directory: 'config.json/parcellation.csv'", (),
+            config(artifact_gain=1e308)),
+    # Manifests and subject files `correct` refuses.
+    Refusal("unknown-pipeline", [*CORRECT[:3], "--pipeline", "scrubbing", "--out", "out"], 2,
+            "error: unknown pipeline 'scrubbing'; valid names: baseline, seq-hmp-aroma-physio,"
+            " seq-aroma-hmp-physio, concat", ("out",)),
+    Refusal("corrupt-motion", CORRECT, 4,
+            "subject 'sub-001': cohort/sub-001/motion.csv: row 4, column 2: could not convert"
+            " string to float: 'x", (),
+            lambda run: edit_lines(lambda lines: [*lines[:3], lines[3].replace(",", ",x", 1),
+                                                  *lines[4:]], "cohort/sub-001/motion.csv")),
+    Refusal("missing-subject-file", CORRECT, 4,
+            "error: subject 'sub-002': missing aroma file 'sub-002/aroma.csv'", (),
+            lambda run: Path("cohort/sub-002/aroma.csv").unlink()),
+    Refusal("manifest-schema-version", CORRECT, 2,
+            "error: cohort/manifest.json: unsupported schema_version '99', expected '1'", ("out",),
+            lambda run: set_json(MANIFEST[1], "99", "schema_version")),
+    *(Refusal(f"subject-id-{name}", [*CORRECT[:-1], "a/b/out"], 2,
+              f"error: cohort/manifest.json: subjects[0]: subject_id {sid!r} must be a single path"
+              " component (no '/', '\\' or NUL, not empty, '.' or '..')",
+              ("a/escaped.csv", "a/b/out"),
+              lambda run, sid=sid: set_json(MANIFEST[1], sid, "subjects", 0, "subject_id"))
+      for name, sid in SUBJECT_IDS.items()),
+    *(Refusal(f"manifest-{name}", CORRECT, 2,
+              f"error: cohort/manifest.json: {'' if len(keys) == 1 else 'subjects[0]: '}"
+              f"{keys[-1]} {path!r} must be a relative path without '..' components", ("out",),
+              lambda run, keys=keys, path=path: set_json(
+                  MANIFEST[1], path.replace("{work}", os.getcwd()), *keys))
+      for name, (keys, path) in OUTSIDE_PATHS.items()),
+    Refusal("aroma-one-row-short", CORRECT, 4,
+            "error: subject 'sub-001': aroma has 39 rows, timeseries has 40", (),
+            lambda run: edit_lines(lambda lines: lines[:-1], "cohort/sub-001/aroma.csv")),
+    Refusal("motion-one-row-short", CORRECT, 4,
+            "error: subject 'sub-001': motion has 39 rows, timeseries has 40", (),
+            lambda run: edit_lines(lambda lines: lines[:-1], "cohort/sub-001/motion.csv")),
+    Refusal("physio-extra-column", CORRECT, 4,
+            "error: subject 'sub-001': physio must have exactly 2 columns (white-matter mean,"
+            " non-brain mean), got 3", (),
+            lambda run: edit_lines(lambda lines: [line + ",0" for line in lines],
+                                   "cohort/sub-001/physio.csv")),
+    Refusal("missing-parcellation", CORRECT, 4,
+            "error: manifest references missing parcellation file 'parcellation.csv'", ("out",),
+            lambda run: Path("cohort/parcellation.csv").unlink()),
+    # Finite values whose squares or sums overflow float64, named by subject or file.
+    Refusal("motion-squares-overflow-in-correct", CORRECT, 4,
+            "error: subject 'sub-002': design matrix contains NaN or infinite entries",
+            ("out/run_info.json",),
+            lambda run: set_cells("cohort/sub-002/motion.csv", [5], 0, "1e200")),
+    Refusal("mean-fd-squares-overflow", QC_RAW, 4,
+            "error: mean FD is too large: its sum of squares overflows", ("qc.json",),
+            lambda run: set_cells("cohort/sub-002/motion.csv", [5], 0, "1e200")),
+    Refusal("framewise-displacement-overflows", QC_RAW, 4,
+            "error: subject 'sub-002': framewise displacement contains NaN or infinite entries",
+            ("qc.json",),
+            lambda run: [set_cells("cohort/sub-002/motion.csv", [row], column, f"{sign}1.7e308")
+                         for row, sign in ((5, ""), (6, "-")) for column in (0, 1)]),
+    Refusal("aroma-sums-overflow", CORRECT, 4, "subject 'sub-001': floating-point overflow",
+            ("out/run_info.json",), lambda run: huge_cells("cohort/sub-001/aroma.csv")),
+    Refusal("physio-sums-overflow",
+            [*CORRECT[:3], "--pipeline", "seq-aroma-hmp-physio", "--out", "out"], 4,
+            "subject 'sub-003': floating-point overflow", ("out/run_info.json",),
+            lambda run: huge_cells("cohort/sub-003/physio.csv")),
+    Refusal("ts-sums-overflow", [*CORRECT[:3], "--pipeline", "baseline", "--out", "out"], 4,
+            "subject 'sub-002': floating-point overflow", ("out/run_info.json",),
+            lambda run: huge_cells("cohort/sub-002/ts.csv")),
+    Refusal("parcellation-distances-overflow", QC_RAW, 4,
+            "parcellation.csv: floating-point overflow", ("qc.json",), far_parcellation),
+    # What `qc` refuses.
+    Refusal("bins-not-an-integer", [*QC_RAW, "--bins", "x"], 2,
+            "error: qcfc qc: argument --bins: invalid int value: 'x'", ("qc.json",)),
+    Refusal("run-info-schema-version", QC_CORRECTED, 2,
+            "error: corrected_concat/run_info.json: unsupported schema_version '0', expected '1'",
+            ("qc.json",),
+            lambda run: set_json("corrected_concat/run_info.json", "0", "schema_version")),
+    Refusal("missing-corrected-subject", QC_CORRECTED, 4,
+            "error: subject 'sub-003': missing corrected file corrected_concat/sub-003.csv",
+            ("qc.json",),
+            lambda run: Path("corrected_concat/sub-003.csv").unlink()),
+    Refusal("corrected-roi-labels", QC_CORRECTED, 2,
+            "error: subject 'sub-000': ROI labels differ from the parcellation", ("qc.json",),
+            lambda run: set_cells("corrected_concat/sub-000.csv", [0], 0, "bogus")),
+    *(Refusal(f"motion-rows-differ-{source}", argv, 4,
+              "error: subject 'sub-001': motion has 20 rows, timeseries has 40", ("qc.json",),
+              lambda run: edit_lines(keep(1 + TINY_CFG["n_timepoints"] // 2),
+                                     "cohort/sub-001/motion.csv"))
+      for source, argv in (("raw", QC_RAW), ("corrected", QC_CORRECTED))),
+    Refusal("two-subjects", QC_RAW, 5, "error: need at least 3 subjects, got 2", ("qc.json",),
+            lambda run: keep_subjects(2)),
+    Refusal("constant-motion", QC_RAW, 5, "error: mean FD is constant across subjects",
+            ("qc.json",),
+            lambda run: [set_cells(f"cohort/sub-00{k}/motion.csv",
+                                   range(1, TINY_CFG["n_timepoints"] + 1), column, "0")
+                         for k in range(TINY_CFG["n_subjects"]) for column in range(6)]),
+    # Files that are not valid UTF-8: exit 2 for the config, 4 otherwise.
+    *(Refusal(f"invalid-utf8-{name}", argv, code,
+              f"{prefix}cannot read {path}: 'utf-8' codec can't decode byte 0xff in position ",
+              ("out",), lambda run, path=path: append_invalid_utf8(path))
+      for name, path, argv, code, prefix in (
+          ("ts", "cohort/sub-000/ts.csv", CORRECT, 4, "subject 'sub-000': "),
+          ("manifest", MANIFEST[1], CORRECT, 4, ""),
+          ("report", "qc_raw.json", ["report", "qc_raw.json", "--csv", "out"], 4, ""),
+          ("config", "config.json", ["phantom", "--config", "config.json", "--out", "out"], 2,
+           "config: "))),
+    # What `report` refuses.
+    Refusal("report-missing-fields", ["report", "qc.json"], 2,
+            "error: qc.json: missing field 'pipeline'", (),
+            lambda run: Path("qc.json").write_text(json.dumps({"schema_version": "1"}))),
+    *(Refusal(f"report-mistyped-{name}", ["report", "qc.json"], 2, f"error: qc.json: {message}",
+              (), report_with(field, value))
+      for name, field, value, message in (
+          ("n-subjects", "n_subjects", 2.9, "n_subjects must be an integer, got 2.9"),
+          ("n-edges", "n_edges", True, "n_edges must be an integer, got True"),
+          ("undefined-edge-count", "undefined_edge_count", False,
+           "undefined_edge_count must be an integer, got False"),
+          ("median", "median_abs_qcfc", "0.5", "median_abs_qcfc must be a number, got '0.5'"),
+          ("p-value", "dist_dependence_p", float("nan"),
+           "dist_dependence_p must be finite, got nan"),
+          ("pipeline", "pipeline", 7, "pipeline must be a string, got 7"),
+          ("histogram-count", "histogram", [[0.0, 3.7]],
+           "histogram[0][1] must be an integer, got 3.7"),
+          ("histogram-center", "histogram", [[True, 3]],
+           "histogram[0][0] must be a number, got True"))),
+    Refusal("report-missing", ["report", "nope.json"], 4,
+            "error: cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
 ]
 
 
@@ -250,27 +456,23 @@ def check(case: Refusal, run: Run, base: Path, work: Path) -> None:
         case.setup(run)
         code, err = run(case.argv)
         left = [path for path in case.absent if os.path.lexists(path)]
-    lines = err.splitlines()
+        expected = case.stderr.replace("{work}", os.getcwd())
     assert code == case.code, f"exit code {code}, expected {case.code}: {err!r}"
-    usage = bool(lines) and lines[0].startswith("usage: ")
-    one_error = [line for line in lines if "error: " in line] == lines[-1:]
-    assert one_error and (usage or len(lines) == 1), f"not one error: line: {err!r}"
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), f"not one error: line: {err!r}"
     assert "Traceback" not in err, err
-    if case.stderr.startswith("error: "):
-        assert lines[-1] == case.stderr, f"{lines[-1]!r} != {case.stderr!r}"
+    if expected.startswith("error: "):
+        assert lines[0] == expected, f"{lines[0]!r} != {expected!r}"
     else:
-        assert case.stderr in lines[-1], f"{case.stderr!r} not in {lines[-1]!r}"
+        assert lines[0].startswith(f"error: {expected}"), f"{lines[0]!r} !~ {expected!r}"
     assert not left, f"left behind: {left}"
 
 
 def in_process(argv: list) -> tuple:
-    """`qcfc.cli.main(argv)` in this process; argparse's usage errors exit through SystemExit."""
+    """`qcfc.cli.main(argv)` in this process."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        try:
-            code = cli_main(argv)
-        except SystemExit as e:
-            code = e.code
+        code = cli_main(argv)
     return code, err.getvalue()
 
 

@@ -10,13 +10,41 @@ import pytest
 import qcfc.cli as cli
 from qcfc.cli import main, run_guarded
 from qcfc.errors import ValidationError
-from qcfc.metrics import Parcellation, default_roi_labels
+from qcfc.metrics import Parcellation, default_roi_labels, edge_lengths
 from qcfc.regression import SignalMatrix, demean_columns
 from qcfc.storage import read_matrix_csv, write_matrix_csv
 
-from .conftest import TINY_CFG, write_config
+from .conftest import write_config
+from .refusals import CASES, OUTSIDE_PATHS, SUBJECT_IDS, check, huge_cells, in_process
 from .test_acceptance import _tree_bytes
 from .test_writer import correct
+
+# Each refusal-shaped case of this module is a row of `tests/refusals.py`. It runs here, under
+# the pytest id it had; `test_refusals.py` runs the other rows.
+ROWS = {case.name: case for case in CASES}
+ROWS_RUN_HERE: set[str] = set()
+
+
+def refusal_rows(*names: str, ids: list[str] | None = None) -> staticmethod:
+    """A test that checks the refusal rows `names`: one row as a plain test, else one per id.
+
+    The ids are those the hand-written cases had, so every test keeps its name.
+    """
+    ROWS_RUN_HERE.update(names)
+    if ids is None:
+        (name,) = names
+
+        def test(refusal_base, tmp_path):
+            check(ROWS[name], in_process, refusal_base, tmp_path / "work")
+
+    else:
+
+        @pytest.mark.parametrize("name", names, ids=ids)
+        def test(refusal_base, tmp_path, name):
+            check(ROWS[name], in_process, refusal_base, tmp_path / "work")
+
+    # In a class, a staticmethod gets no `self`; pytest unwraps it at module level too.
+    return staticmethod(test)
 
 
 @pytest.fixture(scope="module")
@@ -90,63 +118,24 @@ class TestPhantomCommand:
         assert "cohort: 3 subjects, 4 ROIs, 24 timepoints" in out
         assert "manifest:" in out
 
-    def test_invalid_field_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", n_subjects=0)
-        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert rc == 2
-        assert "n_subjects" in capsys.readouterr().err
+    test_invalid_field_exits_2 = refusal_rows("config-zero-subjects")
+    test_unknown_field_exits_2 = refusal_rows("config-unknown-field")
+    test_missing_config_exits_2 = refusal_rows("config-missing")
+    test_config_larger_than_memory_exits_2 = refusal_rows("config-larger-than-memory")
 
-    def test_unknown_field_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", bogus=1)
-        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert rc == 2
-        assert "bogus" in capsys.readouterr().err
+    test_config_too_large_for_numpy_exits_2 = refusal_rows(
+        "config-n-rois-beyond-numpy",
+        "config-n-timepoints-beyond-numpy",
+        "config-n-aroma-components-beyond-numpy",
+        ids=["n_rois", "n_timepoints", "n_aroma_components"],
+    )
 
-    def test_missing_config_exits_2(self, tmp_path, capsys):
-        rc = main(
-            ["phantom", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]
-        )
-        assert rc == 2
-
-    def test_config_larger_than_memory_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", n_timepoints=10**12)
-        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: Unable to allocate")
-        assert "Traceback" not in err
-        assert not (tmp_path / "d").exists()
-
-    @pytest.mark.parametrize("field", ["n_rois", "n_timepoints", "n_aroma_components"])
-    def test_config_too_large_for_numpy_exits_2(self, tmp_path, capsys, field):
-        # An array 2**62 long on a side is more bytes than NumPy can index,
-        # so NumPy would refuse it without allocating; the config is refused
-        # before generation starts.
-        cfg = write_config(tmp_path / "c.json", **{field: 2**62})
-        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: config: ")
-        assert field in err and "more than NumPy can index" in err
-        assert not (tmp_path / "d").exists()
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"artifact_gain": 1e308},
-            {"motion_amplitude_range": [1e300, 1e301]},
-            {"artifact_gain": 10**400},
-        ],
+    test_config_that_overflows_float64_exits_2 = refusal_rows(
+        "config-gain-overflows",
+        "config-amplitude-overflows",
+        "config-integer-beyond-float",
         ids=["gain", "amplitude", "integer-beyond-float"],
     )
-    def test_config_that_overflows_float64_exits_2(self, tmp_path, capsys, overrides):
-        cfg = write_config(tmp_path / "c.json", **overrides)
-        rc = main(["phantom", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert not (tmp_path / "d").exists()
 
     def test_length_scale_below_float64_range_still_generates(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", artifact_length_scale=1e-310)
@@ -185,12 +174,9 @@ class TestPhantomCommand:
         assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {target!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "c.json"]
 
-    def test_out_path_under_a_file_is_named_before_an_overflowing_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", artifact_gain=1e308)
-        blocked = tmp_path / "blocked"
-        blocked.write_text("")
-        assert main(["phantom", "--config", str(cfg), "--out", str(blocked)]) == 3
-        assert "Not a directory" in capsys.readouterr().err
+    test_out_path_under_a_file_is_named_before_an_overflowing_config = refusal_rows(
+        "out-is-a-file-before-overflowing-config"
+    )
 
 
 class TestCorrectCommand:
@@ -220,146 +206,18 @@ class TestCorrectCommand:
         assert corrected_labels == labels
         assert np.array_equal(corrected, demean_columns(ts))
 
-    def test_unknown_pipeline_exits_2(self, cohort_dir, tmp_path, capsys):
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort_dir / "manifest.json"),
-                "--pipeline",
-                "scrubbing",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "seq-hmp-aroma-physio" in err and "concat" in err
+    test_unknown_pipeline_exits_2 = refusal_rows("unknown-pipeline")
+    test_corrupt_motion_exits_4 = refusal_rows("corrupt-motion")
+    test_missing_subject_file_exits_4 = refusal_rows("missing-subject-file")
+    test_wrong_manifest_version_exits_2 = refusal_rows("manifest-schema-version")
 
-    def test_corrupt_motion_exits_4(self, cohort_dir, tmp_path, capsys):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        motion = cohort / "sub-001" / "motion.csv"
-        lines = motion.read_text().splitlines()
-        lines[3] = lines[3].replace(",", ",x", 1)
-        motion.write_text("\n".join(lines) + "\n")
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--pipeline",
-                "concat",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert rc == 4
-        assert "sub-001" in capsys.readouterr().err
-
-    def test_missing_subject_file_exits_4(self, cohort_dir, tmp_path, capsys):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        (cohort / "sub-002" / "aroma.csv").unlink()
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--pipeline",
-                "concat",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert rc == 4
-        assert "sub-002" in capsys.readouterr().err
-
-    def test_wrong_manifest_version_exits_2(self, cohort_dir, tmp_path):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        manifest = json.loads((cohort / "manifest.json").read_text())
-        manifest["schema_version"] = "99"
-        (cohort / "manifest.json").write_text(json.dumps(manifest))
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--pipeline",
-                "concat",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert rc == 2
-
-    @pytest.mark.parametrize("sid", ["../../escaped", "a/b", "a\\b", "", ".", "..", "a\x00b"])
-    def test_subject_id_must_be_one_path_component(self, cohort_dir, tmp_path, capsys, sid):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        manifest = json.loads((cohort / "manifest.json").read_text())
-        manifest["subjects"][0]["subject_id"] = sid
-        (cohort / "manifest.json").write_text(json.dumps(manifest))
-        out = tmp_path / "a" / "b" / "o"
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--pipeline",
-                "concat",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 2
-        assert "subject_id" in capsys.readouterr().err
-        assert not (tmp_path / "a" / "escaped.csv").exists()
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "key, path",
-        [
-            ("ts", lambda cohort: str(cohort / "sub-001" / "ts.csv")),
-            ("motion", lambda cohort: "../cohort/sub-001/motion.csv"),
-            ("aroma", lambda cohort: "sub-000/../sub-001/aroma.csv"),
-            ("physio", lambda cohort: "..\\cohort\\sub-001\\physio.csv"),
-            ("parcellation_path", lambda cohort: str(cohort / "parcellation.csv")),
-        ],
-        ids=[
-            "absolute-ts",
-            "parent-motion",
-            "inner-dotdot-aroma",
-            "backslash-physio",
-            "absolute-parcellation",
-        ],
+    test_subject_id_must_be_one_path_component = refusal_rows(
+        *(f"subject-id-{name}" for name in SUBJECT_IDS), ids=list(SUBJECT_IDS.values())
     )
-    def test_manifest_paths_must_stay_in_its_directory(
-        self, cohort_dir, tmp_path, capsys, key, path
-    ):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        manifest = json.loads((cohort / "manifest.json").read_text())
-        entry = manifest if key == "parcellation_path" else manifest["subjects"][0]
-        entry[key] = path(cohort)
-        (cohort / "manifest.json").write_text(json.dumps(manifest))
-        out = tmp_path / "o"
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--pipeline",
-                "concat",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert key in err and "relative path" in err
-        assert not out.exists()
+
+    test_manifest_paths_must_stay_in_its_directory = refusal_rows(
+        *(f"manifest-{name}" for name in OUTSIDE_PATHS), ids=list(OUTSIDE_PATHS)
+    )
 
     def test_subjects_may_share_component_files(self, cohort_dir, tmp_path):
         cohort = tmp_path / "cohort"
@@ -371,45 +229,14 @@ class TestCorrectCommand:
         argv = ["--manifest", str(cohort / "manifest.json"), "--pipeline", "concat"]
         assert main(["correct", *argv, "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize(
-        "name, edit",
-        [
-            ("aroma.csv", lambda lines: lines[:-1]),
-            ("motion.csv", lambda lines: lines[:-1]),
-            ("physio.csv", lambda lines: [line + ",0" for line in lines]),
-        ],
+    test_inconsistent_subject_files_exit_4 = refusal_rows(
+        "aroma-one-row-short",
+        "motion-one-row-short",
+        "physio-extra-column",
+        ids=["aroma.csv-<lambda>", "motion.csv-<lambda>", "physio.csv-<lambda>"],
     )
-    def test_inconsistent_subject_files_exit_4(
-        self, cohort_dir, tmp_path, capsys, name, edit
-    ):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        path = cohort / "sub-001" / name
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        rc = main(
-            [
-                "correct",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--pipeline",
-                "concat",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "sub-001" in err and name.split(".")[0] in err
 
-    def test_missing_parcellation_exits_4(self, cohort_dir, tmp_path, capsys):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        (cohort / "parcellation.csv").unlink()
-        out = tmp_path / "o"
-        assert correct(cohort, "concat", out) == 4
-        err = capsys.readouterr().err
-        assert err == "error: manifest references missing parcellation file 'parcellation.csv'\n"
-        assert not out.exists()
+    test_missing_parcellation_exits_4 = refusal_rows("missing-parcellation")
 
 
 def keep_lines(path, n) -> None:
@@ -434,47 +261,16 @@ class TestFailedRerun:
         assert _tree_bytes(out) == before
 
 
-def cohort_with_motion_cell(cohort_dir, tmp_path, cells):
-    """A copy of the cohort whose sub-002 motion has `cells` {(row, column): text} replaced."""
-    cohort = tmp_path / "cohort"
-    shutil.copytree(cohort_dir, cohort)
-    motion = cohort / "sub-002" / "motion.csv"
-    lines = [line.split(",") for line in motion.read_text().splitlines()]
-    for (row, col), text in cells.items():
-        lines[row][col] = text
-    motion.write_text("".join(",".join(line) + "\n" for line in lines))
-    return cohort
-
-
 class TestMotionBeyondFloat64:
     """Finite motion whose squares or sums overflow is a data error naming the subject."""
 
-    def test_correct_exits_4(self, cohort_dir, tmp_path, capsys):
-        cohort = cohort_with_motion_cell(cohort_dir, tmp_path, {(5, 0): "1e200"})
-        manifest = str(cohort / "manifest.json")
-        out = tmp_path / "o"
-        assert main(["correct", "--manifest", manifest, "--pipeline", "concat", "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: subject 'sub-002'")
-        assert not (out / "run_info.json").exists()
+    test_correct_exits_4 = refusal_rows("motion-squares-overflow-in-correct")
 
-    @pytest.mark.parametrize(
-        "cells",
-        [
-            {(5, 0): "1e200"},
-            {(5, 0): "1.7e308", (5, 1): "1.7e308", (6, 0): "-1.7e308", (6, 1): "-1.7e308"},
-        ],
+    test_qc_raw_exits_4 = refusal_rows(
+        "mean-fd-squares-overflow",
+        "framewise-displacement-overflows",
         ids=["mean-fd-squares", "framewise-displacement"],
     )
-    def test_qc_raw_exits_4(self, cohort_dir, tmp_path, capsys, cells):
-        cohort = cohort_with_motion_cell(cohort_dir, tmp_path, cells)
-        report = tmp_path / "qc.json"
-        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report", str(report)]
-        assert main(argv) == 4
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert "overflow" in err or "infinite" in err
-        assert not report.exists()
 
 
 class TestQcCommand:
@@ -541,122 +337,16 @@ class TestQcCommand:
         assert json.loads(report.read_text())["pipeline"] == "concat"
         assert "pipeline: concat" in capsys.readouterr().out
 
-    def test_tampered_run_info_exits_2(self, cohort_dir, corrected_dir, tmp_path):
-        corr = tmp_path / "corr"
-        shutil.copytree(corrected_dir, corr)
-        info = json.loads((corr / "run_info.json").read_text())
-        info["schema_version"] = "0"
-        (corr / "run_info.json").write_text(json.dumps(info))
-        rc = main(
-            [
-                "qc",
-                "--manifest",
-                str(cohort_dir / "manifest.json"),
-                "--corrected",
-                str(corr),
-                "--report",
-                str(tmp_path / "qc.json"),
-            ]
-        )
-        assert rc == 2
+    test_tampered_run_info_exits_2 = refusal_rows("run-info-schema-version")
+    test_missing_corrected_subject_exits_4 = refusal_rows("missing-corrected-subject")
+    test_roi_label_mismatch_exits_2 = refusal_rows("corrected-roi-labels")
 
-    def test_missing_corrected_subject_exits_4(self, cohort_dir, corrected_dir, tmp_path, capsys):
-        corr = tmp_path / "corr"
-        shutil.copytree(corrected_dir, corr)
-        (corr / "sub-003.csv").unlink()
-        rc = main(
-            [
-                "qc",
-                "--manifest",
-                str(cohort_dir / "manifest.json"),
-                "--corrected",
-                str(corr),
-                "--report",
-                str(tmp_path / "qc.json"),
-            ]
-        )
-        assert rc == 4
-        assert "sub-003" in capsys.readouterr().err
+    test_motion_rows_differ_exits_4 = refusal_rows(
+        "motion-rows-differ-raw", "motion-rows-differ-corrected", ids=["--raw", "--corrected"]
+    )
 
-    def test_roi_label_mismatch_exits_2(self, cohort_dir, corrected_dir, tmp_path, capsys):
-        corr = tmp_path / "corr"
-        shutil.copytree(corrected_dir, corr)
-        target = corr / "sub-000.csv"
-        lines = target.read_text().splitlines()
-        lines[0] = "bogus" + lines[0][lines[0].index(",") :]
-        target.write_text("\n".join(lines) + "\n")
-        rc = main(
-            [
-                "qc",
-                "--manifest",
-                str(cohort_dir / "manifest.json"),
-                "--corrected",
-                str(corr),
-                "--report",
-                str(tmp_path / "qc.json"),
-            ]
-        )
-        assert rc == 2
-        assert "sub-000" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("source", ["--raw", "--corrected"])
-    def test_motion_rows_differ_exits_4(
-        self, cohort_dir, corrected_dir, tmp_path, capsys, source
-    ):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        motion = cohort / "sub-001" / "motion.csv"
-        lines = motion.read_text().splitlines()
-        motion.write_text("\n".join(lines[: 1 + TINY_CFG["n_timepoints"] // 2]) + "\n")
-        report = tmp_path / "qc.json"
-        flags = ["--raw"] if source == "--raw" else ["--corrected", str(corrected_dir)]
-        rc = main(
-            ["qc", "--manifest", str(cohort / "manifest.json"), *flags, "--report", str(report)]
-        )
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "sub-001" in err and "motion" in err
-        assert not report.exists()
-
-    def test_two_subjects_exit_5(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "c.json", n_subjects=3, n_rois=4, n_timepoints=24, seed=9
-        )
-        data = tmp_path / "data"
-        assert main(["phantom", "--config", str(cfg), "--out", str(data)]) == 0
-        manifest = json.loads((data / "manifest.json").read_text())
-        manifest["subjects"] = manifest["subjects"][:2]
-        (data / "manifest.json").write_text(json.dumps(manifest))
-        rc = main(
-            [
-                "qc",
-                "--manifest",
-                str(data / "manifest.json"),
-                "--raw",
-                "--report",
-                str(tmp_path / "qc.json"),
-            ]
-        )
-        assert rc == 5
-
-    def test_constant_motion_exits_5(self, cohort_dir, tmp_path):
-        cohort = tmp_path / "cohort"
-        shutil.copytree(cohort_dir, cohort)
-        header = "dx_mm,dy_mm,dz_mm,rx_rad,ry_rad,rz_rad"
-        body = "\n".join(["0,0,0,0,0,0"] * TINY_CFG["n_timepoints"])
-        for sub in sorted(cohort.glob("sub-*")):
-            (sub / "motion.csv").write_text(header + "\n" + body + "\n")
-        rc = main(
-            [
-                "qc",
-                "--manifest",
-                str(cohort / "manifest.json"),
-                "--raw",
-                "--report",
-                str(tmp_path / "qc.json"),
-            ]
-        )
-        assert rc == 5
+    test_two_subjects_exit_5 = refusal_rows("two-subjects")
+    test_constant_motion_exits_5 = refusal_rows("constant-motion")
 
     def test_zero_bins_exits_2(self, cohort_dir, tmp_path):
         rc = main(
@@ -712,6 +402,27 @@ def test_raw_report_keeps_its_bytes_when_one_subject_is_scaled_by_two_to_the_300
     assert report.read_bytes() == report_paths[0].read_bytes()
 
 
+def test_raw_report_scores_a_timeseries_whose_sums_overflow_as_its_scaled_copy(
+    cohort_dir, tmp_path
+):
+    """Cells of 1e308 and 1.5e308 are finite: `fc_matrix` scales each column by a power of two
+    before any sum, so no float error is raised and the report is that of the copy x 2**-1000."""
+    huge, scaled = tmp_path / "huge", tmp_path / "scaled"
+    shutil.copytree(cohort_dir, huge)
+    huge_cells(str(huge / "sub-002" / "ts.csv"))
+    shutil.copytree(huge, scaled)
+    ts = scaled / "sub-002" / "ts.csv"
+    values, labels = read_matrix_csv(ts)
+    write_matrix_csv(ts, np.ldexp(values, -1000), labels)
+    reports = []
+    for cohort in (huge, scaled):
+        report = cohort / "qc_raw.json"
+        argv = ["qc", "--manifest", str(cohort / "manifest.json"), "--raw", "--report"]
+        assert main([*argv, str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "n_subjects, n_timepoints, n_rois", [(30, 40, 60), (20, 30, 120)], ids=["60-rois", "120-rois"]
 )
@@ -736,7 +447,8 @@ def test_scoring_peaks_below_three_subjects_by_edges_arrays(
     edges_bytes = n_subjects * (n_rois * (n_rois - 1) // 2) * 8
     tracemalloc.start()
     try:
-        cli.score_cohort("raw", parcellation, subjects, tmp_path / "qc.json", cli.DEFAULT_BINS)
+        lengths = edge_lengths(parcellation)
+        cli.score_cohort("raw", lengths, subjects, tmp_path / "qc.json", cli.DEFAULT_BINS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -744,34 +456,13 @@ def test_scoring_peaks_below_three_subjects_by_edges_arrays(
     assert peak < 3 * edges_bytes, f"peak {peak / edges_bytes:.2f} x the edges array"
 
 
-@pytest.mark.parametrize(
-    "target, expected", [("ts", 4), ("manifest", 4), ("report", 4), ("config", 2)]
+test_invalid_utf8_is_a_malformed_file = refusal_rows(
+    "invalid-utf8-ts",
+    "invalid-utf8-manifest",
+    "invalid-utf8-report",
+    "invalid-utf8-config",
+    ids=["ts-4", "manifest-4", "report-4", "config-2"],
 )
-def test_invalid_utf8_is_a_malformed_file(
-    cohort_dir, report_paths, tmp_path, capsys, target, expected
-):
-    cohort = tmp_path / "cohort"
-    shutil.copytree(cohort_dir, cohort)
-    report = tmp_path / "qc.json"
-    shutil.copy(report_paths[0], report)
-    config = write_config(tmp_path / "c.json")
-    out = tmp_path / "out"
-    manifest = str(cohort / "manifest.json")
-    correct = ["correct", "--manifest", manifest, "--pipeline", "concat", "--out", str(out)]
-    bad, argv = {
-        "ts": (cohort / "sub-000" / "ts.csv", correct),
-        "manifest": (cohort / "manifest.json", correct),
-        "report": (report, ["report", str(report), "--csv", str(out)]),
-        "config": (config, ["phantom", "--config", str(config), "--out", str(out)]),
-    }[target]
-    with open(bad, "ab") as fh:
-        fh.write(b"\xff")
-    assert main(argv) == expected
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert str(bad) in err
-    assert "Traceback" not in err
-    assert not out.exists()
 
 
 class TestReportCommand:
@@ -844,33 +535,28 @@ class TestReportCommand:
         assert [len(row) for row in rows] == [6, 6, 6]
         assert rows[2][0] == "concat\rv2"
 
-    def test_invalid_report_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": "1"}))
-        assert main(["report", str(bad)]) == 2
+    test_invalid_report_exits_2 = refusal_rows("report-missing-fields")
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("n_subjects", 2.9),
-            ("n_edges", True),
-            ("undefined_edge_count", False),
-            ("median_abs_qcfc", "0.5"),
-            ("dist_dependence_p", float("nan")),
-            ("pipeline", 7),
-            ("histogram", [[0.0, 3.7]]),
-            ("histogram", [[True, 3]]),
+    test_mistyped_field_exits_2 = refusal_rows(
+        "report-mistyped-n-subjects",
+        "report-mistyped-n-edges",
+        "report-mistyped-undefined-edge-count",
+        "report-mistyped-median",
+        "report-mistyped-p-value",
+        "report-mistyped-pipeline",
+        "report-mistyped-histogram-count",
+        "report-mistyped-histogram-center",
+        ids=[
+            "n_subjects-2.9",
+            "n_edges-True",
+            "undefined_edge_count-False",
+            "median_abs_qcfc-0.5",
+            "dist_dependence_p-nan",
+            "pipeline-7",
+            "histogram-value6",
+            "histogram-value7",
         ],
     )
-    def test_mistyped_field_exits_2(self, report_paths, tmp_path, capsys, field, value):
-        report = json.loads(report_paths[1].read_text())
-        report[field] = value
-        path = tmp_path / "qc.json"
-        path.write_text(json.dumps(report))
-        assert main(["report", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: {path}: {field}")
 
     @pytest.mark.parametrize(
         "overrides, field, values",
@@ -897,8 +583,7 @@ class TestReportCommand:
         )
         assert not csv_path.exists()
 
-    def test_missing_report_exits_4(self, tmp_path):
-        assert main(["report", str(tmp_path / "nope.json")]) == 4
+    test_missing_report_exits_4 = refusal_rows("report-missing")
 
 
 def test_bare_memory_error_still_prints_a_message(capsys):
@@ -907,6 +592,13 @@ def test_bare_memory_error_still_prints_a_message(capsys):
 
     assert run_guarded(exhausted) == 2
     assert capsys.readouterr().err == "error: not enough memory\n"
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["qc", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qcfc qc ")
 
 
 class TestRecordBytes:

@@ -123,3 +123,10 @@ def test_bins_beyond_numpy_exit_2_before_writing_anything(tmp_path, monkeypatch,
         f"error: bins must be small enough for NumPy to index its edges, got {2**62}\n"
     )
     assert not work.exists()
+
+
+def test_usage_error_exits_2_with_one_error_line(monkeypatch, capsys):
+    assert run_script(monkeypatch, "--bins", "x") == 2
+    assert capsys.readouterr().err == (
+        "error: run_full_comparison.py: argument --bins: invalid int value: 'x'\n"
+    )

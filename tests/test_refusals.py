@@ -1,17 +1,18 @@
-"""The refusal table of `tests/refusals.py`, each case through `qcfc.cli.main` in this process."""
+"""The refusal table of `tests/refusals.py`, each case through `qcfc.cli.main` in this process.
+
+The rows that replaced cases of `test_cli.py` run there, under those cases' ids.
+"""
 
 import pytest
 
-from .refusals import CASES, check, in_process, make_base
+from .refusals import CASES, check, in_process
+from .test_cli import ROWS_RUN_HERE
 
 
-@pytest.fixture(scope="module")
-def base(tmp_path_factory):
-    return make_base(tmp_path_factory.mktemp("refusals") / "base", in_process)
-
-
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
-def test_refusal(base, tmp_path, case):
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case.name not in ROWS_RUN_HERE], ids=lambda case: case.name
+)
+def test_refusal(refusal_base, tmp_path, case):
     if case.skip:
         pytest.skip(case.skip)
-    check(case, in_process, base, tmp_path / "work")
+    check(case, in_process, refusal_base, tmp_path / "work")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,26 @@ def test_a_writer_that_dies_is_one_error_line_and_exit_3(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: a writer process ended abruptly")
     assert len(err.splitlines()) == 1
+
+
+def test_a_task_a_writer_cannot_load_is_one_error_line_and_exit_3(capfd, monkeypatch):
+    """Its function's module is only in this process; the writer answers and goes on serving."""
+    module = types.ModuleType("only_in_this_process")
+    exec("def task():\n    pass\n", module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    pools = []
+
+    def command() -> None:
+        with cli._Writer(1) as writer:
+            pools.append(writer)
+            writer.submit(module.task)
+
+    assert run_guarded(command) == 3
+    assert capfd.readouterr().err == (
+        "error: a writer could not load its task: No module named 'only_in_this_process'\n"
+    )
+    # Not stopped for it: it exited on its own once its pipe was closed.
+    assert pools[0]._procs[0].returncode == 0
 
 
 def test_wait_raises_the_first_failure_in_submission_order():
