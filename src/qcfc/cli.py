@@ -347,7 +347,10 @@ class _Writer:
     `with` block waits the same way (so a write that failed before the
     block's own error is the one raised; an interrupt does not wait), then
     cancels the tasks not yet started, lets the running ones finish, closes
-    the writers' pipes and waits for them to exit.
+    the writers' pipes and waits for them to exit. Writers start with
+    `OPENBLAS_NUM_THREADS=1`: their only BLAS work, `_write_corrected`'s
+    rerun, runs on one thread anyway, and so no OpenBLAS thread pool
+    starts (and spins) in them.
     """
 
     def __init__(self, workers: int):
@@ -355,7 +358,11 @@ class _Writer:
         self._idle: queue.SimpleQueue[subprocess.Popen] = queue.SimpleQueue()
         self._procs: list[subprocess.Popen] = []
         self._threads = ThreadPoolExecutor(workers) if workers else None
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+            OPENBLAS_NUM_THREADS="1",
+        )
         try:
             for _ in range(workers):
                 self._procs.append(
@@ -615,14 +622,15 @@ def score_cohort(
     Only the subject's edges outlive its connectivity matrix, so scoring
     holds one subjects x edges array and peaks at about twice its size.
     """
-    rows, mfds = [], []
+    ids, rows, mfds = [], [], []
     for subject_id, mfd, ts in subjects:
         with prefixed(f"subject {subject_id!r}"):
             rows.append(fc_matrix(ts).upper_triangle())
+        ids.append(subject_id)
         mfds.append(mfd)
     edges = np.array(rows)
     del rows  # freed before scoring copies the edges
-    report = _qcfc_edges(edges, np.array(mfds))
+    report = _qcfc_edges(edges, np.array(mfds), ids)
     rho, p = distance_dependence(report, lengths)
     run_report = RunReport(
         pipeline=pipeline_name,

@@ -33,6 +33,7 @@ from .pipelines import HeadMotion
 from .regression import (
     SignalMatrix,
     _max_abs,
+    _threaded,
     _validated_labels,
     _validated_matrix,
     _varies,
@@ -246,15 +247,15 @@ def pearson(x, y) -> tuple[float, float]:
     with np.errstate(over="ignore"):
         xc = xa - xa.mean()
         yc = ya - ya.mean()
-        ssx = float(xc @ xc)
-        ssy = float(yc @ yc)
+        ssx = float(_threaded(np.matmul, xc, xc))
+        ssy = float(_threaded(np.matmul, yc, yc))
     if not (math.isfinite(ssx) and math.isfinite(ssy)):
         raise DataIntegrityError("correlation input is too large: a sum of squares overflows")
     if not (_varies(ssx, xa) and _varies(ssy, ya)):
         raise DegenerateInputError("correlation is undefined for a constant input")
     prod = ssx * ssy
     denom = math.sqrt(prod) if math.isfinite(prod) else math.sqrt(ssx) * math.sqrt(ssy)
-    r = float(np.clip(float(xc @ yc) / denom, -1.0, 1.0))
+    r = float(np.clip(float(_threaded(np.matmul, xc, yc)) / denom, -1.0, 1.0))
     return r, float(_t_pvalues(np.array([r]), xa.size)[0])
 
 
@@ -305,7 +306,7 @@ def fc_matrix(ts: SignalMatrix) -> FcMatrix:
     exponent = np.frexp(max_abs)[1]
     centered = np.ldexp(values, -exponent)
     centered -= centered.mean(axis=0, keepdims=True)
-    gram = centered.T @ centered
+    gram = _threaded(np.matmul, centered.T, centered)
     ss = np.diag(gram).copy()
     dead = np.flatnonzero(~_varies(ss, values, np.ldexp(max_abs, -exponent)))
     if dead.size:
@@ -354,11 +355,13 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
     return _qcfc_edges(edges, mfd)
 
 
-def _qcfc_edges(edges: np.ndarray, mfd_per_subject) -> QcFcReport:
+def _qcfc_edges(edges: np.ndarray, mfd_per_subject, subject_ids=None) -> QcFcReport:
     """`qcfc` on a C-order float subjects x edges array, which it owns and centres in place.
 
     Besides `edges` it allocates one copy of the defined edges' columns, so
-    it peaks at about twice the array's size.
+    it peaks at about twice the array's size. When the mean FDs' sum of
+    squares overflows, the error names the subject furthest from the cohort
+    mean, by its entry of `subject_ids` or else by its index.
     """
     s = edges.shape[0]
     mfd = _subject_mfd(mfd_per_subject, s)
@@ -366,7 +369,13 @@ def _qcfc_edges(edges: np.ndarray, mfd_per_subject) -> QcFcReport:
         g = mfd - mfd.mean()
         ssg = float(g @ g)
     if not math.isfinite(ssg):
-        raise DataIntegrityError("mean FD is too large: its sum of squares overflows")
+        # Scaled to max|x| = 1, so neither the mean nor a deviation overflows.
+        scaled = mfd / np.abs(mfd).max()
+        worst = int(np.argmax(np.abs(scaled - scaled.mean())))
+        name = repr(subject_ids[worst]) if subject_ids is not None else worst
+        raise DataIntegrityError(
+            f"subject {name}: mean FD is too large: the cohort's sum of squares overflows"
+        )
     if not _varies(ssg, mfd):
         raise DegenerateInputError("mean FD is constant across subjects")
 
@@ -380,7 +389,7 @@ def _qcfc_edges(edges: np.ndarray, mfd_per_subject) -> QcFcReport:
     if defined.any():
         # Kept even when every edge is defined: the copy is F-order, and the
         # product on C-order `edges` itself rounds many r values differently.
-        r_def = (edges[:, defined].T @ g) / np.sqrt(ss_edges[defined] * ssg)
+        r_def = _threaded(np.matmul, edges[:, defined].T, g) / np.sqrt(ss_edges[defined] * ssg)
         r_def = np.clip(r_def, -1.0, 1.0)
         r_vals[defined] = r_def
         p_vals[defined] = _t_pvalues(r_def, s)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DataIntegrityError, DimensionError, ValidationError
 from .regression import (
     DesignMatrix,
     SignalMatrix,
@@ -125,15 +125,18 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
 
     Fixed column order keeps file outputs byte-stable: the 6 parameters,
     their 6 backward-difference derivatives (first row 0), the 6 squared
-    parameters, the 6 squared derivatives. Motion so large that a
-    derivative or a square overflows float64 leaves an infinite entry, which
-    the block refuses (DataIntegrityError).
+    parameters, the 6 squared derivatives. Finite motion so large that a
+    derivative or a square overflows float64 is refused (DataIntegrityError).
     """
     params = motion.values
     deriv = np.zeros_like(params)
     with np.errstate(over="ignore"):
         deriv[1:] = np.diff(params, axis=0)
         values = np.hstack([params, deriv, params**2, deriv**2])
+    if not np.all(np.isfinite(values)):
+        raise DataIntegrityError(
+            "head motion is too large: its derivatives or squares overflow float64"
+        )
     labels = (
         tuple(HMP_PARAM_LABELS)
         + tuple(f"{p}_deriv" for p in HMP_PARAM_LABELS)

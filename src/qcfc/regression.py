@@ -11,15 +11,27 @@ Applying `ols_residualize` block by block only guarantees orthogonality to
 the last block regressed: earlier blocks can re-enter through later,
 correlated ones. `sequential_residualize` deliberately preserves that
 behavior; use a single concatenated design when joint removal is wanted.
+
+BLAS threads: the pipelines and the cohort generator run inside
+`_one_blas_thread`, so their bits do not depend on the caller's OpenBLAS
+thread count. The connectivity products of `qcfc.metrics` (`fc_matrix`'s
+gram, the QC-FC matrix-vector product and `pearson`'s dot products) run on
+the caller's count through `_threaded`. Where NumPy's OpenBLAS takes a
+threads callback (0.3.28 or later), their jobs run on Python threads that
+block when idle, not on OpenBLAS's own threads, which spin for about 0.1 s
+after every call; the count and the split into jobs stay OpenBLAS's, so
+the bits do too.
 """
 
 from __future__ import annotations
 
 import ctypes
-from contextlib import contextmanager
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy
@@ -38,41 +50,144 @@ __all__ = [
 ]
 
 
-# Thread-count functions of a wheel's bundled OpenBLAS: current wheels use
-# the `scipy_openblas_` prefix, older ones plain `openblas_`; NumPy's
-# 64-bit-integer build adds a `64_` suffix.
-_BLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-    for prefix in ("scipy_openblas_", "openblas_")
-    for suffix in ("64_", "")
-)
+def _openblas_symbols(stem: str) -> tuple[str, ...]:
+    """The names a function of a wheel's bundled OpenBLAS may have.
+
+    Current wheels use the `scipy_openblas_` prefix, older ones plain
+    `openblas_`; NumPy's 64-bit-integer build adds a `64_` suffix.
+    """
+    return tuple(
+        f"{prefix}{stem}{suffix}"
+        for prefix in ("scipy_openblas_", "openblas_")
+        for suffix in ("64_", "")
+    )
+
+
+def _openblas_libs(pkg) -> Iterator[ctypes.CDLL]:
+    """The OpenBLAS libraries a wheel bundles under `<pkg>.libs` (none with a system BLAS)."""
+    libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+    for so in sorted(libs.glob("*openblas*")):
+        try:
+            yield ctypes.CDLL(str(so))
+        except OSError:
+            continue
 
 
 def _blas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of each OpenBLAS in `numpy.libs` and `scipy.libs`.
-
-    A NumPy or SciPy without such a library (a system or conda BLAS, another
-    platform's wheel layout) contributes nothing.
-    """
+    """(get, set) thread-count functions of each OpenBLAS in `numpy.libs` and `scipy.libs`."""
     controls = []
-    for pkg in (np, scipy):
-        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for so in sorted(libs.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(so))
-            except OSError:
-                continue
-            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-                if hasattr(lib, get_name) and hasattr(lib, set_name):
-                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
+    for lib in (*_openblas_libs(np), *_openblas_libs(scipy)):
+        pairs = zip(_openblas_symbols("get_num_threads"), _openblas_symbols("set_num_threads"))
+        for get_name, set_name in pairs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
     return controls
 
 
 _BLAS_THREAD_CONTROLS = _blas_thread_controls()
+
+# OpenBLAS >= 0.3.28 hands each multi-threaded call's jobs to a threads
+# callback, if one is set, instead of to its own threads, which spin for
+# about 0.1 s after every call before they sleep. The callback must run job
+# i as `dojob(i, jobdata + i * jobdata_elsize, dojob_data)`, all of them at
+# once (the jobs of a matrix product wait for one another), and return when
+# every job is done.
+_DOJOB = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_void_p, ctypes.c_int)
+_THREADS_CALLBACK = ctypes.CFUNCTYPE(
+    None, ctypes.c_int, _DOJOB, ctypes.c_int, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_int
+)
+
+
+def _threads_callback_setter():
+    """NumPy's OpenBLAS `set_threads_callback_function`, or None where it has none."""
+    for lib in _openblas_libs(np):
+        for name in _openblas_symbols("set_threads_callback_function"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [_THREADS_CALLBACK], None
+                return setter
+    return None
+
+
+_SET_THREADS_CALLBACK = _threads_callback_setter()
+# What kept a callback from running every job: OpenBLAS takes its return as all done.
+_job_failures: list[BaseException] = []
+
+
+def _new_threads() -> None:
+    """Thread pools with no thread yet: at import, and in a forked child, which inherits none.
+
+    `_product_thread` runs every product that `_threaded` hands over, one at
+    a time. `_job_threads` runs jobs 1.. of a product; it grows to the most
+    jobs a product has had, and its idle threads block.
+    """
+    global _product_thread, _job_threads, _job_capacity
+    _product_thread = ThreadPoolExecutor(1, thread_name_prefix="qcfc-blas")
+    _job_threads = ThreadPoolExecutor(1, thread_name_prefix="qcfc-blas-job")
+    _job_capacity = 1
+
+
+_new_threads()
+if _SET_THREADS_CALLBACK is not None and hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_threads)
+
+
+@_THREADS_CALLBACK
+def _run_jobs(sync, dojob, numjobs, elsize, jobdata, dojob_data):
+    """The threads callback: job 0 on this thread, the others on `_job_threads`."""
+    global _job_threads, _job_capacity
+    started = []
+    try:
+        if numjobs - 1 > _job_capacity:
+            _job_threads.shutdown(wait=False)
+            _job_threads = ThreadPoolExecutor(numjobs - 1, thread_name_prefix="qcfc-blas-job")
+            _job_capacity = numjobs - 1
+        for i in range(1, numjobs):
+            started.append(_job_threads.submit(dojob, i, jobdata + i * elsize, dojob_data))
+        dojob(0, jobdata, dojob_data)
+    except BaseException as e:
+        _job_failures.append(e)
+    wait(started)
+
+
+def _product_with_callback(err: dict, product, args: tuple):
+    """On `_product_thread`: `product(*args)` under `err`, its OpenBLAS jobs run by `_run_jobs`."""
+    _SET_THREADS_CALLBACK(_run_jobs)
+    try:
+        with np.errstate(**err):
+            result = product(*args)
+    finally:
+        _SET_THREADS_CALLBACK(_THREADS_CALLBACK())
+    failures, _job_failures[:] = _job_failures[:], []
+    if failures:
+        raise failures[0]
+    return result
+
+
+def _threaded(product, *args):
+    """`product(*args)`, a NumPy BLAS product on the caller's thread count, without the spin.
+
+    Same thread count, same job split, so the same bits; but the jobs run
+    on threads that block when idle. The product runs on `_product_thread`,
+    never here: an interrupt that lands in a ctypes callback on the main
+    thread is printed and dropped, and OpenBLAS takes the jobs as done. This
+    thread waits for the product even when interrupted, so no BLAS call of
+    its own meets the callback, which is process-wide. Without a callback
+    symbol (OpenBLAS before 0.3.28, or not a wheel's) this calls `product`.
+    """
+    if _SET_THREADS_CALLBACK is None:
+        return product(*args)
+    future = _product_thread.submit(_product_with_callback, np.geterr(), product, args)
+    try:
+        return future.result()
+    finally:
+        while not future.done():
+            with suppress(KeyboardInterrupt):
+                wait([future])
 
 
 @contextmanager

@@ -347,11 +347,13 @@ CASES = [
             lambda run: Path("cohort/parcellation.csv").unlink()),
     # Finite values whose squares or sums overflow float64, named by subject or file.
     Refusal("motion-squares-overflow-in-correct", CORRECT, 4,
-            "error: subject 'sub-002': design matrix contains NaN or infinite entries",
+            "error: subject 'sub-002': head motion is too large: its derivatives or squares"
+            " overflow float64",
             ("out/run_info.json",),
             lambda run: set_cells("cohort/sub-002/motion.csv", [5], 0, "1e200")),
     Refusal("mean-fd-squares-overflow", QC_RAW, 4,
-            "error: mean FD is too large: its sum of squares overflows", ("qc.json",),
+            "error: subject 'sub-002': mean FD is too large: the cohort's sum of squares"
+            " overflows", ("qc.json",),
             lambda run: set_cells("cohort/sub-002/motion.csv", [5], 0, "1e200")),
     Refusal("framewise-displacement-overflows", QC_RAW, 4,
             "error: subject 'sub-002': framewise displacement contains NaN or infinite entries",

@@ -2,8 +2,19 @@
 
 Their outputs must not depend on the caller's thread count, and the
 caller's count must be back in place afterwards, however the call ends.
+
+The connectivity products run on the caller's count through
+`regression._threaded`, whose job threads block instead of spinning when
+idle. Their bits, their floating-point errors and the main thread's
+interrupts must be what they are without it.
 """
 
+import _thread
+import os
+import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -12,7 +23,8 @@ import pytest
 
 import qcfc.pipelines as pipelines
 import qcfc.regression as regression
-from qcfc import generate_cohort
+from qcfc import DataIntegrityError, SignalMatrix, generate_cohort
+from qcfc.metrics import _qcfc_edges, fc_matrix, pearson, spearman
 from qcfc.pipelines import PipelineKind, PipelineSpec, run_pipeline
 
 from .conftest import REFERENCE_CONFIG, SMALL_CONFIG
@@ -26,6 +38,10 @@ PAPER_SHAPE = replace(
 needs_control = pytest.mark.skipif(
     not regression._BLAS_THREAD_CONTROLS,
     reason="no OpenBLAS thread control found under numpy.libs or scipy.libs",
+)
+needs_callback = pytest.mark.skipif(
+    regression._SET_THREADS_CALLBACK is None,
+    reason="no OpenBLAS threads callback (0.3.28 or later) found under numpy.libs",
 )
 
 
@@ -110,3 +126,140 @@ def test_without_thread_control_outputs_are_unchanged(monkeypatch):
     expected = outputs(SMALL_CONFIG)
     monkeypatch.setattr(regression, "_BLAS_THREAD_CONTROLS", [])
     assert outputs(SMALL_CONFIG) == expected
+
+
+def paper_products() -> dict:
+    """The three connectivity products at paper scale: 333 ROIs x 1200 TRs, 40 subjects."""
+    rng = np.random.default_rng(5)
+    ts = SignalMatrix(rng.standard_normal((1200, 333)))
+    edges = rng.standard_normal((40, 333 * 332 // 2))
+    mfd = rng.uniform(0.1, 0.5, 40)
+    x, y = rng.standard_normal((2, edges.shape[1]))
+    return {
+        "fc_matrix": lambda: fc_matrix(ts).values.tobytes(),
+        "_qcfc_edges": lambda: _qcfc_edges(edges.copy(), mfd).edge_qcfc.tobytes(),
+        "spearman": lambda: spearman(x, y),
+    }
+
+
+@pytest.fixture
+def callback_threads(monkeypatch) -> list:
+    """Record the thread each threads callback runs on."""
+    seen = []
+    run_jobs = regression._run_jobs
+
+    @regression._THREADS_CALLBACK
+    def recording(*args):
+        seen.append(threading.current_thread())
+        run_jobs(*args)
+
+    monkeypatch.setattr(regression, "_run_jobs", recording)
+    return seen
+
+
+@needs_callback
+def test_no_blas_thread_spins_after_a_product():
+    products = paper_products()
+    idle_cpu = {}
+    with caller_threads(2):
+        for name, product in products.items():
+            product()
+            start = time.process_time()
+            time.sleep(0.3)
+            idle_cpu[name] = time.process_time() - start
+    assert {name: cpu < 0.05 for name, cpu in idle_cpu.items()} == dict.fromkeys(products, True)
+
+
+@needs_callback
+@pytest.mark.parametrize("threads", [2, 4])
+def test_products_keep_their_bits_and_never_call_back_on_the_main_thread(
+    monkeypatch, callback_threads, threads
+):
+    products = paper_products()
+    with caller_threads(threads):
+        through_callback = {name: product() for name, product in products.items()}
+        assert callback_threads
+        assert threading.main_thread() not in callback_threads
+        monkeypatch.setattr(regression, "_SET_THREADS_CALLBACK", None)
+        assert {name: product() for name, product in products.items()} == through_callback
+
+
+@needs_callback
+def test_a_job_that_cannot_start_fails_the_product(monkeypatch):
+    ts = SignalMatrix(np.random.default_rng(8).standard_normal((1200, 333)))
+    stopped = ThreadPoolExecutor(1)
+    stopped.shutdown()
+    with caller_threads(2):
+        expected = fc_matrix(ts).values
+        with monkeypatch.context() as patch:
+            patch.setattr(regression, "_job_threads", stopped)
+            with pytest.raises(RuntimeError, match="cannot schedule new futures"):
+                fc_matrix(ts)
+        assert np.array_equal(fc_matrix(ts).values, expected)
+
+
+def sigint_to_main_thread() -> None:
+    """A real SIGINT, which also wakes the main thread from a blocking wait."""
+    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+
+@needs_callback
+@pytest.mark.parametrize(
+    "interrupt",
+    [
+        _thread.interrupt_main,
+        pytest.param(
+            sigint_to_main_thread,
+            marks=pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill"),
+        ),
+    ],
+    ids=["interrupt_main", "sigint"],
+)
+def test_an_interrupt_during_a_product_is_raised(capfd, callback_threads, interrupt):
+    values = np.random.default_rng(6).standard_normal((1200, 333))
+    ts = SignalMatrix(values)
+    raised = 0
+    with caller_threads(2):
+        for delay in np.linspace(0.005, 0.1, 10):
+            timer = threading.Timer(delay, interrupt)
+            timer.start()
+            deadline = time.monotonic() + 20
+            try:
+                while time.monotonic() < deadline:
+                    fc_matrix(ts)
+            except KeyboardInterrupt:
+                raised += 1
+                # Had the interrupted product not finished, this would meet its callback.
+                values.T @ values
+            timer.join()
+    assert raised == 10
+    assert threading.main_thread() not in callback_threads
+    assert capfd.readouterr().err == ""
+
+
+@needs_callback
+@pytest.mark.filterwarnings("error")
+def test_overflowing_sums_of_squares_still_refused():
+    # Long enough that OpenBLAS splits each dot product into jobs.
+    x = np.resize([1e200, -1e200], 55_278)
+    with caller_threads(2):
+        with pytest.raises(DataIntegrityError, match="a sum of squares overflows"):
+            pearson(x, x[::-1])
+
+
+@needs_callback
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_runs_products_on_threads_of_its_own():
+    ts = SignalMatrix(np.random.default_rng(7).standard_normal((1200, 333)))
+    with caller_threads(2):
+        expected = fc_matrix(ts).values
+        pid = os.fork()
+        if pid == 0:  # the child inherits the pools, but not their threads
+            same = False
+            try:
+                signal.alarm(60)
+                same = np.array_equal(fc_matrix(ts).values, expected)
+            finally:
+                os._exit(0 if same else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0

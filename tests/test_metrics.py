@@ -395,6 +395,11 @@ class TestQcfc:
         with pytest.raises(DataIntegrityError, match="overflows"):
             qcfc(fcs, [1e200, -1e200, 0.0, 1.0])
 
+    def test_overflowing_mfd_names_the_subject_furthest_from_the_mean(self):
+        fcs = cohort_fcs(17, 4, 4)
+        with pytest.raises(DataIntegrityError, match="^subject 1: mean FD is too large: the"):
+            qcfc(fcs, [1e200, -2e200, 0.0, 1.0])
+
     def test_constant_mfd_rejected(self):
         fcs = cohort_fcs(17, 4, 4)
         with pytest.raises(DegenerateInputError):

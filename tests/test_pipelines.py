@@ -78,6 +78,12 @@ class TestExpandHmp24:
         with pytest.raises(DataIntegrityError):
             HeadMotion(bad)
 
+    def test_finite_motion_whose_squares_overflow_is_refused_as_such(self):
+        values = np.zeros((3, 6))
+        values[1, 4] = 1e200
+        with pytest.raises(DataIntegrityError, match="^head motion is too large: its"):
+            expand_hmp24(HeadMotion(values))
+
     def test_motion_needs_six_columns(self):
         with pytest.raises(DimensionError):
             HeadMotion(np.zeros((5, 5)))
