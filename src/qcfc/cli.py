@@ -18,7 +18,10 @@ Formatting floats as text is most of a run's time, so `phantom`, `correct`
 and `compare` open one `_Writer` each (README, "Writer processes") and pass
 it down to the steps that write subjects' matrix files. Its writers are
 fresh interpreters fed over pipes, not `fork`ed: after `import numpy` this
-process already runs OpenBLAS threads. `python -m qcfc.cli` runs the
+process already runs OpenBLAS threads. A writer is sent the arrays it
+writes, such as the corrected matrix that was scored, and does no BLAS work
+at all. At most two tasks per writer wait in this process, so the arrays
+waiting to be written stay few. `python -m qcfc.cli` runs the
 commands of the imported `qcfc.cli`, whose functions and records a writer
 can unpickle.
 
@@ -274,8 +277,8 @@ def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int
 # one CPU any writer shares the main process's core. Hence one writer per
 # half million values, and none unless there would be two. The cap bounds
 # the memory held by writers that would mostly wait: in `compare`, the main
-# process uses about 0.4 s of CPU per second of a writer's, so it keeps at
-# most two or three busy.
+# process uses about 0.4 s of CPU per second of a writer's (0.36-0.38 at
+# reference scale on 2 CPUs), so it keeps at most two or three busy.
 _VALUES_PER_WRITER = 500_000
 _MAX_WRITERS = 4
 # What a writer process runs. It ignores an interrupt: the main process decides what stops.
@@ -334,10 +337,12 @@ class _Writer:
     """Runs file-writing tasks in `workers` processes, or at once in this one if `workers` is 0.
 
     `submit` queues a task and returns; a thread of this process hands it
-    to an idle writer and waits for the answer. A task is a module-level
-    function (this module's `_write_*`), pickled by reference, so replacing
-    `write_matrix_csv` or `run_pipeline` in this module, as a tracer does,
-    changes nothing a writer runs. A task whose function or arguments a
+    to an idle writer and waits for the answer. At most 2 x `workers` tasks
+    wait, those running included: `submit` first waits for the oldest
+    until there is room, so the arrays a task holds cannot pile up. A task
+    is a module-level function (this module's `_write_*`), pickled by
+    reference, so replacing `write_matrix_csv` in this module, as a tracer
+    does, changes nothing a writer runs. A task whose function or arguments a
     writer cannot unpickle fails with "a writer could not load its task",
     exit code 3, and the writer goes on serving. Failures are raised in
     submission order, as serial writes would raise them: `submit` first
@@ -348,9 +353,8 @@ class _Writer:
     block's own error is the one raised; an interrupt does not wait), then
     cancels the tasks not yet started, lets the running ones finish, closes
     the writers' pipes and waits for them to exit. Writers start with
-    `OPENBLAS_NUM_THREADS=1`: their only BLAS work, `_write_corrected`'s
-    rerun, runs on one thread anyway, and so no OpenBLAS thread pool
-    starts (and spins) in them.
+    `OPENBLAS_NUM_THREADS=1`: they do no BLAS work at all, so no OpenBLAS
+    thread pool need start (and spin) in them.
     """
 
     def __init__(self, workers: int):
@@ -378,16 +382,12 @@ class _Writer:
             self._close()
             raise
 
-    @property
-    def parallel(self) -> bool:
-        return self._threads is not None
-
     def submit(self, task, *args) -> None:
-        """Run `task(*args)` now without writer processes; else queue it."""
+        """Run `task(*args)` now without writer processes; else queue it once there is room."""
         if self._threads is None:
             task(*args)
             return
-        self._collect(block=False)
+        self._collect(keep=2 * len(self._procs) - 1)
         self._pending.append(self._threads.submit(self._run, task, args))
 
     def _run(self, task, args: tuple) -> None:
@@ -410,11 +410,11 @@ class _Writer:
 
     def wait(self) -> None:
         """Wait for every submitted task; raise the first failure in submission order."""
-        self._collect(block=True)
+        self._collect(keep=0)
 
-    def _collect(self, block: bool) -> None:
-        """Retire the oldest finished tasks (all, if `block`); raise the first failure."""
-        while self._pending and (block or self._pending[0].done()):
+    def _collect(self, keep: int) -> None:
+        """Retire finished tasks in order until at most `keep` remain; raise the first failure."""
+        while self._pending and (len(self._pending) > keep or self._pending[0].done()):
             self._pending[0].result()
             self._pending.popleft()
 
@@ -459,14 +459,8 @@ def _write_subject(
     write_matrix_csv(physio, bundle.physio.values, bundle.physio.column_labels)
 
 
-def _write_corrected(path: Path, bundle: SubjectBundle, kind: PipelineKind) -> None:
-    """Writer task: correct one subject again and write the result to `path`.
-
-    The pipeline runs on one BLAS thread, so this is bit for bit the
-    matrix the caller computed; sending the bundle, which the caller holds
-    anyway, keeps no corrected matrix alive until it is written.
-    """
-    corrected = run_pipeline(bundle, PipelineSpec(kind))
+def _write_corrected(path: Path, corrected: SignalMatrix) -> None:
+    """Writer task: one subject's corrected timeseries."""
     write_matrix_csv(path, corrected.values, corrected.column_labels)
 
 
@@ -587,11 +581,7 @@ def correct_cohort(
         if n_subjects == 1:
             with suppress(FileNotFoundError, NotADirectoryError):
                 (out / RUN_INFO_NAME).unlink()
-        path = out / f"{bundle.subject_id}.csv"
-        if writer.parallel:
-            writer.submit(_write_corrected, path, bundle, kind)
-        else:
-            write_matrix_csv(path, corrected.values, corrected.column_labels)
+        writer.submit(_write_corrected, out / f"{bundle.subject_id}.csv", corrected)
         yield bundle.subject_id, corrected
     writer.wait()
     _write_record(out / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))

@@ -15,12 +15,12 @@ behavior; use a single concatenated design when joint removal is wanted.
 BLAS threads: the pipelines and the cohort generator run inside
 `_one_blas_thread`, so their bits do not depend on the caller's OpenBLAS
 thread count. The connectivity products of `qcfc.metrics` (`fc_matrix`'s
-gram, the QC-FC matrix-vector product and `pearson`'s dot products) run on
-the caller's count through `_threaded`. Where NumPy's OpenBLAS takes a
-threads callback (0.3.28 or later), their jobs run on Python threads that
-block when idle, not on OpenBLAS's own threads, which spin for about 0.1 s
-after every call; the count and the split into jobs stay OpenBLAS's, so
-the bits do too.
+gram, the QC-FC matrix-vector product and `pearson`'s dot products) and
+`max_abs_correlation`'s product run on the caller's count through
+`_threaded`. Where NumPy's OpenBLAS takes a threads callback (0.3.28 or
+later), their jobs run on Python threads that block when idle, not on
+OpenBLAS's own threads, which spin for about 0.1 s after every call; the
+count and the split into jobs stay OpenBLAS's, so the bits do too.
 """
 
 from __future__ import annotations
@@ -424,5 +424,5 @@ def max_abs_correlation(E: SignalMatrix, X: DesignMatrix) -> float:
             "all columns are constant on one side; no correlation is defined"
         )
     # One square root of the product keeps an exact column match at exactly 1.
-    corr = (e_centered.T @ x_centered) / np.sqrt(np.multiply.outer(e_ss, x_ss))
+    corr = _threaded(np.matmul, e_centered.T, x_centered) / np.sqrt(np.multiply.outer(e_ss, x_ss))
     return float(min(1.0, float(np.abs(corr).max())))

@@ -3,10 +3,10 @@
 Their outputs must not depend on the caller's thread count, and the
 caller's count must be back in place afterwards, however the call ends.
 
-The connectivity products run on the caller's count through
-`regression._threaded`, whose job threads block instead of spinning when
-idle. Their bits, their floating-point errors and the main thread's
-interrupts must be what they are without it.
+The connectivity products and `max_abs_correlation`'s product run on the
+caller's count through `regression._threaded`, whose job threads block
+instead of spinning when idle. Their bits, their floating-point errors and
+the main thread's interrupts must be what they are without it.
 """
 
 import _thread
@@ -26,6 +26,7 @@ import qcfc.regression as regression
 from qcfc import DataIntegrityError, SignalMatrix, generate_cohort
 from qcfc.metrics import _qcfc_edges, fc_matrix, pearson, spearman
 from qcfc.pipelines import PipelineKind, PipelineSpec, run_pipeline
+from qcfc.regression import DesignMatrix, max_abs_correlation
 
 from .conftest import REFERENCE_CONFIG, SMALL_CONFIG
 
@@ -129,9 +130,10 @@ def test_without_thread_control_outputs_are_unchanged(monkeypatch):
 
 
 def paper_products() -> dict:
-    """The three connectivity products at paper scale: 333 ROIs x 1200 TRs, 40 subjects."""
+    """The products `_threaded` runs, at paper scale: 333 ROIs x 1200 TRs, 40 subjects."""
     rng = np.random.default_rng(5)
     ts = SignalMatrix(rng.standard_normal((1200, 333)))
+    components = DesignMatrix(rng.standard_normal((1200, 30)), tuple(f"c{i}" for i in range(30)))
     edges = rng.standard_normal((40, 333 * 332 // 2))
     mfd = rng.uniform(0.1, 0.5, 40)
     x, y = rng.standard_normal((2, edges.shape[1]))
@@ -139,6 +141,7 @@ def paper_products() -> dict:
         "fc_matrix": lambda: fc_matrix(ts).values.tobytes(),
         "_qcfc_edges": lambda: _qcfc_edges(edges.copy(), mfd).edge_qcfc.tobytes(),
         "spearman": lambda: spearman(x, y),
+        "max_abs_correlation": lambda: max_abs_correlation(ts, components),
     }
 
 

@@ -18,6 +18,7 @@ import qcfc.cli as cli
 from qcfc.cli import load_bundle, load_manifest, main, run_guarded
 from qcfc.errors import DegenerateInputError
 from qcfc.pipelines import PipelineKind, PipelineSpec, run_pipeline
+from qcfc.regression import SignalMatrix
 from qcfc.storage import read_matrix_csv
 
 from .conftest import write_config
@@ -39,6 +40,15 @@ def writers(monkeypatch):
     """Two writer processes for every command, whatever its size and this machine's CPUs."""
     monkeypatch.setattr(cli, "_VALUES_PER_WRITER", 1)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture(params=["writers", "no-writers"])
+def writers_or_none(request, monkeypatch):
+    """Two writer processes for every command, then none (one usable CPU)."""
+    if request.param == "writers":
+        request.getfixturevalue("writers")
+    else:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
 
 
 def correct(cohort: Path, pipeline: str, out: Path) -> int:
@@ -137,22 +147,27 @@ def test_blocked_outputs_exit_3_naming_the_earlier_subject(cohort, tmp_path, wri
             assert read_matrix_csv(path)[0].tobytes() == expected[path.stem].values.tobytes()
 
 
-def test_failure_on_the_first_subject_leaves_no_out(cohort, tmp_path, writers, monkeypatch):
-    def failing(bundle, spec):
-        raise DegenerateInputError("injected failure")
+def test_corrected_files_hold_the_matrix_the_caller_scored(
+    cohort, tmp_path, writers_or_none, monkeypatch
+):
+    """The caller's matrix is written as it is, never computed again."""
 
-    monkeypatch.setattr(cli, "run_pipeline", failing)
+    def doubled(bundle, spec, real=cli.run_pipeline):
+        result = real(bundle, spec)
+        return SignalMatrix(result.values * 2.0, result.column_labels)
+
+    monkeypatch.setattr(cli, "run_pipeline", doubled)
     out = tmp_path / "out"
-    assert correct(cohort, "concat", out) == 5
-    assert not out.exists()
+    assert correct(cohort, "concat", out) == 0
+    for sid, expected in expected_corrected(cohort, PipelineKind.CONCAT_ALL).items():
+        assert read_matrix_csv(out / f"{sid}.csv")[0].tobytes() == (expected.values * 2.0).tobytes()
 
 
-def test_failure_on_the_first_subject_leaves_no_out_without_writers(cohort, tmp_path, monkeypatch):
+def test_failure_on_the_first_subject_leaves_no_out(cohort, tmp_path, writers_or_none, monkeypatch):
     def failing(bundle, spec):
         raise DegenerateInputError("injected failure")
 
     monkeypatch.setattr(cli, "run_pipeline", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     out = tmp_path / "out"
     assert correct(cohort, "concat", out) == 5
     assert not out.exists()
@@ -292,6 +307,16 @@ def test_a_writer_that_cannot_start_leaves_no_process(monkeypatch):
     with pytest.raises(OSError, match="^no second writer$"):
         cli._Writer(2)
     assert len(started) == 1 and started[0].returncode == 0
+    assert child_pids() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_at_most_two_tasks_per_writer_wait():
+    """`submit` waits for room, so the arrays handed to writers cannot pile up."""
+    with cli._Writer(1) as writer:
+        for _ in range(8):
+            writer.submit(time.sleep, 0.05)
+            assert len(writer._pending) <= 2
     assert child_pids() == []
 
 
