@@ -32,7 +32,8 @@ A directory is created by the first file written into it, so a `correct`
 that fails on its first subject leaves no output directory behind.
 `phantom` and `compare` refuse a cohort directory that is, or lies under,
 a file before they generate the cohort or start a writer, with the error
-its first write would raise.
+its first write would raise. `qc` and `report` refuse to write over a file
+they read, before reading anything past the manifest.
 `manifest.json` and `run_info.json` are written only once every file they
 describe is, and a rerun removes the old one first: `phantom` before its
 first write, `correct` just before its first corrected file. So a run that
@@ -257,6 +258,18 @@ def _require_bins(bins: int) -> None:
     edges, itemsize, limit = bins + 1, np.dtype(np.float64).itemsize, np.iinfo(np.intp).max
     if edges * itemsize > limit or float(edges) * itemsize > limit:
         raise ValidationError(f"bins must be small enough for NumPy to index its edges, got {bins}")
+
+
+def _refuse_overwrite(option: str, outputs: Iterable[Path], inputs: Iterable[Path]) -> None:
+    """Refuse an output path that resolves, symbolic links followed, to one of the inputs'."""
+    read = {os.path.realpath(path): path for path in inputs}
+    for out in outputs:
+        if (same := read.get(os.path.realpath(out))) is not None:
+            raise ValidationError(f"{option} would write {out}, which is the input {same}")
+
+
+def _histogram_path(report_path: Path) -> Path:
+    return report_path.with_name(report_path.stem + "_histogram.csv")
 
 
 def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int], ...]:
@@ -633,8 +646,8 @@ def score_cohort(
         histogram=histogram_points(report.edge_qcfc, bins),
     )
     _write_record(report_path, run_report)
-    hist_path = report_path.with_name(report_path.stem + "_histogram.csv")
-    atomic_write_text(hist_path, csv_text([("bin_center", "count"), *run_report.histogram]))
+    hist_text = csv_text([("bin_center", "count"), *run_report.histogram])
+    atomic_write_text(_histogram_path(report_path), hist_text)
     print(f"pipeline: {pipeline_name}")
     print(f"median_abs_qcfc: {run_report.median_abs_qcfc:.6f}")
     print(f"dist_dependence_rho: {run_report.dist_dependence_rho:.6f}")
@@ -642,17 +655,28 @@ def score_cohort(
 
 
 def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins: int) -> None:
-    """Score the raw timeseries (`corrected_dir` None) or a directory written by `correct`."""
+    """Score the raw timeseries (`corrected_dir` None) or a directory written by `correct`.
+
+    Refuses a report, or its histogram CSV, at the path of a file it reads.
+    """
     raw = corrected_dir is None
     _require_bins(bins)
     manifest, base = load_manifest(Path(manifest_path))
+    ts_dir = base if raw else Path(corrected_dir)
+    info_path = ts_dir / RUN_INFO_NAME
+    ts_paths = [ts_dir / (p.ts if raw else f"{p.subject_id}.csv") for p in manifest.subjects]
+    inputs = [Path(manifest_path), base / manifest.parcellation_path, *ts_paths]
+    inputs += [base / p.motion for p in manifest.subjects]
+    if not raw:
+        inputs.append(info_path)
+    report = Path(report_path)
+    _refuse_overwrite("--report", [report, _histogram_path(report)], inputs)
     parc = read_parcellation_csv(base / manifest.parcellation_path)
     with prefixed(manifest.parcellation_path):
         lengths = edge_lengths(parc)
     if raw:
         pipeline_name = RAW_PIPELINE_NAME
     else:
-        info_path = Path(corrected_dir) / RUN_INFO_NAME
         if not info_path.is_file():
             raise FileFormatError(
                 f"{corrected_dir} has no {RUN_INFO_NAME}; run `correct` into this directory first"
@@ -666,11 +690,10 @@ def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins
         pipeline_name = info.pipeline
 
     def subjects() -> Iterator[Subject]:
-        for paths in manifest.subjects:
+        for paths, ts_path in zip(manifest.subjects, ts_paths):
             sid = paths.subject_id
             with prefixed(f"subject {sid!r}"):
                 motion = read_motion_csv(base / paths.motion)
-                ts_path = base / paths.ts if raw else Path(corrected_dir) / f"{sid}.csv"
                 if not raw and not ts_path.is_file():
                     raise FileFormatError(f"missing corrected file {ts_path}")
                 ts = SignalMatrix(*read_matrix_csv(ts_path))
@@ -683,7 +706,7 @@ def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins
                 mfd = mean_fd(framewise_displacement(motion))
             yield sid, mfd, ts
 
-    score_cohort(pipeline_name, lengths, subjects(), Path(report_path), bins)
+    score_cohort(pipeline_name, lengths, subjects(), report, bins)
 
 
 def compare(config_path: str, work: Path, bins: int) -> None:
@@ -716,7 +739,12 @@ def compare(config_path: str, work: Path, bins: int) -> None:
 
 
 def cmd_report(report_paths: list[str], csv_path: str | None = None) -> None:
-    """Print the reports side by side and write their CSV; all must score one cohort's size."""
+    """Print the reports side by side and write their CSV; all must score one cohort's size.
+
+    Refuses a CSV path that is one of the reports' before reading them.
+    """
+    if csv_path is not None:
+        _refuse_overwrite("--csv", [Path(csv_path)], map(Path, report_paths))
     reports = [_read_record(Path(p), RunReport) for p in report_paths]
     for path, r in zip(report_paths, reports):
         for field in ("n_subjects", "n_edges"):

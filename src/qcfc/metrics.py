@@ -8,6 +8,8 @@ edge's connectivity with mean framewise displacement (QC-FC), then rank-
 correlate those per-edge values with inter-ROI Euclidean distance
 (distance dependence). Significance uses the t transform with m - 2
 degrees of freedom for both Pearson and Spearman; no permutation tests.
+A `QcFcReport` stores only each edge's r: its per-edge p-values are
+derived when read, so scoring a cohort computes none.
 
 Every correlation here calls a column varying iff sqrt(ss) > n * eps * max|x|
 (`regression._varies`). Edges whose connectivity does not vary across
@@ -134,41 +136,43 @@ class Parcellation:
 class QcFcReport:
     """Per-edge QC-FC values plus the summary statistics they fix.
 
-    `edge_qcfc` and `edge_pvalues` hold NaN at undefined edges. Both are
-    frozen read-only at construction, which derives `median_abs_qcfc` (NaN
-    if no edge is defined) and `undefined_edge_count` from `edge_qcfc`.
+    `edge_qcfc` holds NaN at undefined edges and is frozen read-only at
+    construction, which derives from it `median_abs_qcfc` (NaN if no edge is
+    defined) and `undefined_edge_count`; `edge_pvalues` is derived when read.
     Distance dependence is computed by `distance_dependence`, not stored.
     """
 
     edge_qcfc: np.ndarray
-    edge_pvalues: np.ndarray
     n_subjects: int
     median_abs_qcfc: float = field(init=False)
     undefined_edge_count: int = field(init=False)
 
     def __post_init__(self):
         r_vals = np.array(self.edge_qcfc, dtype=float)
-        p_vals = np.array(self.edge_pvalues, dtype=float)
-        if r_vals.shape != p_vals.shape or r_vals.ndim != 1:
-            raise DimensionError("edge r and p vectors must be 1-d and the same length")
+        if r_vals.ndim != 1:
+            raise DimensionError("edge QC-FC values must be a 1-d vector")
         defined = ~np.isnan(r_vals)
         median_abs = math.nan
         if defined.any():
             if r_vals[defined].min() < -1.0 or r_vals[defined].max() > 1.0:
                 raise DataIntegrityError("edge QC-FC values must lie in [-1, 1]")
-            if p_vals[defined].min() < 0.0 or p_vals[defined].max() > 1.0:
-                raise DataIntegrityError("edge p-values must lie in [0, 1]")
             median_abs = float(np.median(np.abs(r_vals[defined])))
         r_vals.setflags(write=False)
-        p_vals.setflags(write=False)
         object.__setattr__(self, "edge_qcfc", r_vals)
-        object.__setattr__(self, "edge_pvalues", p_vals)
         object.__setattr__(self, "median_abs_qcfc", median_abs)
         object.__setattr__(self, "undefined_edge_count", int((~defined).sum()))
 
     @property
     def n_edges(self) -> int:
         return int(self.edge_qcfc.shape[0])
+
+    @property
+    def edge_pvalues(self) -> np.ndarray:
+        """Each edge's two-sided p over `n_subjects` (`_t_pvalues`); NaN at undefined edges."""
+        defined = ~np.isnan(self.edge_qcfc)
+        p = np.full(self.n_edges, np.nan)
+        p[defined] = _t_pvalues(self.edge_qcfc[defined], self.n_subjects)
+        return p
 
 
 # Power et al. 2012 convert rotations to arc length on a 50 mm head sphere.
@@ -228,8 +232,7 @@ def _t_pvalues(r: np.ndarray, m: int) -> np.ndarray:
     import scipy.special
     df = m - 2
     p = np.zeros_like(r)
-    # Written so that a NaN r keeps a NaN p.
-    rest = ~(np.abs(r) >= 1.0)
+    rest = np.abs(r) < 1.0
     t = r[rest] * np.sqrt(df / (1.0 - r[rest] * r[rest]))
     p[rest] = 2.0 * scipy.special.stdtr(df, -np.abs(t))
     return p
@@ -385,15 +388,12 @@ def _qcfc_edges(edges: np.ndarray, mfd_per_subject, subject_ids=None) -> QcFcRep
     defined = _varies(ss_edges, edges, max_abs)
 
     r_vals = np.full(edges.shape[1], np.nan)
-    p_vals = np.full(edges.shape[1], np.nan)
     if defined.any():
         # Kept even when every edge is defined: the copy is F-order, and the
         # product on C-order `edges` itself rounds many r values differently.
         r_def = _threaded(np.matmul, edges[:, defined].T, g) / np.sqrt(ss_edges[defined] * ssg)
-        r_def = np.clip(r_def, -1.0, 1.0)
-        r_vals[defined] = r_def
-        p_vals[defined] = _t_pvalues(r_def, s)
-    return QcFcReport(edge_qcfc=r_vals, edge_pvalues=p_vals, n_subjects=s)
+        r_vals[defined] = np.clip(r_def, -1.0, 1.0)
+    return QcFcReport(edge_qcfc=r_vals, n_subjects=s)
 
 
 def distance_dependence(report: QcFcReport, lengths) -> tuple[float, float]:

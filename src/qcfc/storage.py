@@ -19,7 +19,8 @@ reruns are byte-identical on the same CPU with the same BLAS thread count.
 Cohort and corrected files do not depend on that count (generation and the
 pipelines run on one OpenBLAS thread); QC reports and `comparison.csv`
 still can, since the connectivity products keep the caller's count. Every
-file is read and written as UTF-8. A file that cannot be opened, holds an
+file is read and written as UTF-8; a byte-order mark that starts a file is
+not part of its text. A file that cannot be opened, holds an
 invalid UTF-8 byte, or that the CSV reader or JSON decoder refuses (a field
 over `csv.field_size_limit()`, an integer over Python's digit limit, nesting
 too deep to decode) raises FileFormatError, a malformed file (exit code 4
@@ -120,9 +121,12 @@ def csv_text(rows) -> str:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text as UTF-8; an unreadable file or an invalid byte is a malformed file."""
+    """The file's text as UTF-8, without a leading byte-order mark.
+
+    An unreadable file or an invalid byte is a malformed file.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise FileFormatError(f"cannot read {path}: {e}") from e

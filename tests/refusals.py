@@ -407,6 +407,18 @@ CASES = [
           ("report", "qc_raw.json", ["report", "qc_raw.json", "--csv", "out"], 4, ""),
           ("config", "config.json", ["phantom", "--config", "config.json", "--out", "out"], 2,
            "config: "))),
+    # An output at the path of an input, refused before anything is written.
+    Refusal("qc-report-over-manifest", [*QC_RAW[:-1], MANIFEST[1]], 2,
+            "error: --report would write cohort/manifest.json, which is the input"
+            " cohort/manifest.json", ("cohort/manifest_histogram.csv",)),
+    Refusal("qc-report-over-run-info", [*QC_CORRECTED[:-1], "corrected_concat/run_info.json"], 2,
+            "error: --report would write corrected_concat/run_info.json, which is the input"
+            " corrected_concat/run_info.json", ("corrected_concat/run_info_histogram.csv",)),
+    Refusal("qc-report-through-a-link", [*QC_RAW[:-1], "link.json"], 2,
+            "error: --report would write link.json, which is the input cohort/manifest.json",
+            ("link_histogram.csv",), lambda run: os.symlink("cohort/manifest.json", "link.json")),
+    Refusal("report-csv-over-an-input", ["report", "qc_raw.json", "--csv", "qc_raw.json"], 2,
+            "error: --csv would write qc_raw.json, which is the input qc_raw.json"),
     # What `report` refuses.
     Refusal("report-missing-fields", ["report", "qc.json"], 2,
             "error: qc.json: missing field 'pipeline'", (),

@@ -23,7 +23,7 @@ import pytest
 
 import qcfc.pipelines as pipelines
 import qcfc.regression as regression
-from qcfc import DataIntegrityError, SignalMatrix, generate_cohort
+from qcfc import DataIntegrityError, SignalMatrix, ValidationError, generate_cohort
 from qcfc.metrics import _qcfc_edges, fc_matrix, pearson, spearman
 from qcfc.pipelines import PipelineKind, PipelineSpec, run_pipeline
 from qcfc.regression import DesignMatrix, max_abs_correlation
@@ -110,6 +110,14 @@ def test_callers_count_restored_after_exception(monkeypatch):
             run_pipeline(bundle, PipelineSpec(PipelineKind.CONCAT_ALL))
         assert seen == [[1] * n_controls]
         assert thread_counts() == [2] * n_controls
+
+
+@needs_control
+def test_callers_count_restored_after_a_refused_config():
+    with caller_threads(2):
+        with pytest.raises(ValidationError, match="overflows float64"):
+            generate_cohort(replace(SMALL_CONFIG, artifact_gain=1e308))
+        assert thread_counts() == [2] * len(regression._BLAS_THREAD_CONTROLS)
 
 
 @needs_control

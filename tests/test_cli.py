@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qcfc.cli as cli
+import qcfc.metrics as metrics
 from qcfc.cli import main, run_guarded
 from qcfc.errors import ValidationError
 from qcfc.metrics import Parcellation, default_roi_labels, edge_lengths
@@ -454,6 +455,50 @@ def test_scoring_peaks_below_three_subjects_by_edges_arrays(
         tracemalloc.stop()
     assert "pipeline: raw" in capsys.readouterr().out
     assert peak < 3 * edges_bytes, f"peak {peak / edges_bytes:.2f} x the edges array"
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(cohort_dir, tmp_path, capsys):
+    """A BOM in front of a subject's files, the parcellation and the manifest changes no output."""
+    outputs = {}
+    for name in ("plain", "bom"):
+        cohort = tmp_path / name / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        if name == "bom":
+            for rel in ("sub-001/ts.csv", "sub-001/motion.csv", "parcellation.csv", "manifest.json"):
+                (cohort / rel).write_bytes(b"\xef\xbb\xbf" + (cohort / rel).read_bytes())
+        manifest = ["--manifest", str(cohort / "manifest.json")]
+        corrected = str(tmp_path / name / "corrected")
+        assert main(["correct", *manifest, "--pipeline", "concat", "--out", corrected]) == 0
+        for source, report in ((["--raw"], "qc_raw.json"), (["--corrected", corrected], "qc.json")):
+            assert main(["qc", *manifest, *source, "--report", str(tmp_path / name / report)]) == 0
+        shutil.rmtree(cohort)
+        outputs[name] = _tree_bytes(tmp_path / name)
+    capsys.readouterr()
+    # run_info.json and 5 subjects' corrected files; 2 reports, each with its histogram CSV.
+    assert len(outputs["plain"]) == 6 + 4
+    assert outputs["bom"] == outputs["plain"]
+
+
+def test_scoring_computes_one_p_value_that_of_distance_dependence(monkeypatch, tmp_path, capsys):
+    """No per-edge p-value is computed: the report stores none, and `edge_pvalues` is not read."""
+    t_pvalues, calls = metrics._t_pvalues, []
+
+    def recording(r, m):
+        calls.append((r.tolist(), m))
+        return t_pvalues(r, m)
+
+    monkeypatch.setattr(metrics, "_t_pvalues", recording)
+    rng = np.random.default_rng(33)
+    labels = default_roi_labels(12)
+    subjects = [
+        (f"sub-{k:03d}", rng.uniform(0.1, 1.0), SignalMatrix(rng.normal(size=(30, 12)), labels))
+        for k in range(8)
+    ]
+    lengths = edge_lengths(Parcellation(labels, rng.normal(size=(12, 3))))
+    cli.score_cohort("raw", lengths, subjects, tmp_path / "qc.json", cli.DEFAULT_BINS)
+    capsys.readouterr()
+    report = json.loads((tmp_path / "qc.json").read_text())
+    assert calls == [([report["dist_dependence_rho"]], report["n_edges"])]
 
 
 test_invalid_utf8_is_a_malformed_file = refusal_rows(

@@ -471,10 +471,7 @@ class TestQcfc:
 
 
 def report_from_values(edge_r, n_subjects=10):
-    edge_r = np.asarray(edge_r, dtype=float)
-    p = np.full_like(edge_r, np.nan)
-    p[~np.isnan(edge_r)] = 0.5
-    return QcFcReport(edge_qcfc=edge_r, edge_pvalues=p, n_subjects=n_subjects)
+    return QcFcReport(edge_qcfc=np.asarray(edge_r, dtype=float), n_subjects=n_subjects)
 
 
 class TestQcFcReport:
@@ -504,23 +501,22 @@ class TestQcFcReport:
             assert report.median_abs_qcfc == median_abs
 
     def test_summary_is_not_an_argument(self):
-        edges = {"edge_qcfc": [0.1, 0.2], "edge_pvalues": [0.5, 0.5], "n_subjects": 3}
+        edges = {"edge_qcfc": [0.1, 0.2], "n_subjects": 3}
         for summary in ({"median_abs_qcfc": 0.15}, {"undefined_edge_count": 0}):
             with pytest.raises(TypeError):
                 QcFcReport(**edges, **summary)
 
     @pytest.mark.parametrize(
-        "r, p, error, match",
+        "r, error, match",
         [
-            ([0.1, 1.5], [0.5, 0.5], DataIntegrityError, "QC-FC values must lie in"),
-            ([0.1, 0.2], [0.5, -0.1], DataIntegrityError, "p-values must lie in"),
-            ([0.1, 0.2], [0.5], DimensionError, "the same length"),
+            ([0.1, 1.5], DataIntegrityError, "QC-FC values must lie in"),
+            ([[0.1, 0.2]], DimensionError, "must be a 1-d vector"),
         ],
-        ids=["r", "p", "lengths"],
+        ids=["r", "two-d"],
     )
-    def test_values_out_of_range_or_misaligned_rejected(self, r, p, error, match):
+    def test_values_out_of_range_or_misaligned_rejected(self, r, error, match):
         with pytest.raises(error, match=match):
-            QcFcReport(edge_qcfc=r, edge_pvalues=p, n_subjects=10)
+            QcFcReport(edge_qcfc=r, n_subjects=10)
 
 
 def one_ulp_apart(base, ups):
