@@ -28,20 +28,16 @@ can unpickle.
 `EXIT_CODES` maps each documented failure to its exit code; README's "Exit
 codes" table says which failures each code covers. Paths inside a manifest
 are relative to the manifest's directory.
-A directory is created by the first file written into it, so a `correct`
-that fails on its first subject leaves no output directory behind.
-`phantom` and `compare` refuse a cohort directory that is, or lies under,
-a file before they generate the cohort or start a writer, with the error
-its first write would raise. `qc` and `report` refuse to write over a file
-they read, before reading anything past the manifest.
-`manifest.json` and `run_info.json` are written only once every file they
-describe is, and a rerun removes the old one first: `phantom` before its
-first write, `correct` just before its first corrected file. So a run that
-fails leaves no index file describing files it rewrote, and `qc` refuses
-that directory (exit 4); a `correct` that fails on its first subject leaves
-an existing output directory as it was. A run that fails reports the error
-a one-process run would have reported first; with writer processes, files
-of later subjects that were already handed to one may still be written. A
+Each output directory (`phantom`'s, `correct`'s, and `compare`'s cohort and
+corrected ones) is published whole by `_Writer.stage` and `publish`: built
+in a fresh sibling, its index file (`manifest.json`, `run_info.json`)
+written last, then swapped into place. So a run that fails or is
+interrupted leaves the earlier run as it was. An existing directory that
+is neither empty nor holds that index file is refused (exit 2) before any
+work, as is one at or under a file, with the error its first write would
+raise. `qc` and `report` refuse to write over a file they read, before
+reading anything past the manifest. A run that fails reports the error a
+one-process run would have reported first, naming the user's paths. A
 `qcfc.errors.prefixed` context around each subject's loading, correction
 and scoring (never the loop) names that subject once in any error.
 
@@ -60,8 +56,10 @@ import itertools
 import os
 import pickle
 import queue
+import shutil
 import subprocess
 import sys
+import uuid
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext, suppress
@@ -132,6 +130,7 @@ __all__ = [
 SCHEMA_VERSION = "1"
 DEFAULT_BINS = 50
 RAW_PIPELINE_NAME = "raw"
+MANIFEST_NAME = "manifest.json"
 RUN_INFO_NAME = "run_info.json"
 SUBJECT_FILES = ("ts", "motion", "aroma", "physio")
 # One subject as the scoring step takes it: (subject_id, mean FD, timeseries).
@@ -367,10 +366,14 @@ class _Writer:
     cancels the tasks not yet started, lets the running ones finish, closes
     the writers' pipes and waits for them to exit. Writers start with
     `OPENBLAS_NUM_THREADS=1`: they do no BLAS work at all, so no OpenBLAS
-    thread pool need start (and spin) in them.
+    thread pool need start (and spin) in them. `stage` and `publish` swap
+    whole output directories in; leaving the block removes each staged one
+    not published, once no task can write into it, and an OSError naming a
+    file in one then names the user's path instead.
     """
 
     def __init__(self, workers: int):
+        self._staged: dict[Path, tuple[Path, Path]] = {}  # staged: (real place, user's path)
         self._pending: deque[Future] = deque()
         self._idle: queue.SimpleQueue[subprocess.Popen] = queue.SimpleQueue()
         self._procs: list[subprocess.Popen] = []
@@ -449,12 +452,38 @@ class _Writer:
     def __enter__(self) -> "_Writer":
         return self
 
+    def stage(self, out: Path, index: str) -> Path:
+        """A fresh sibling `<out>.<hex>.tmp` for `out`'s next run; `out` must pass `_require_out`."""
+        _require_out(out, index, index)
+        real = Path(os.path.realpath(out))
+        staged = real.with_name(f"{real.name}.{uuid.uuid4().hex}.tmp")
+        self._staged[staged] = (real, Path(out))
+        return staged
+
+    def publish(self, staged: Path) -> None:
+        """Rename the run in `staged`'s place aside, then `staged` into it; delete the old run."""
+        real, _ = self._staged[staged]
+        aside = staged.with_suffix(".old.tmp")
+        with suppress(FileNotFoundError):
+            os.rename(real, aside)
+        os.rename(staged, real)
+        del self._staged[staged]
+        shutil.rmtree(aside, ignore_errors=True)
+
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None or issubclass(exc_type, Exception):
                 self.wait()
+        except OSError as e:
+            exc = e
+            raise
         finally:
             self._close()
+            for staged, (_, out) in self._staged.items():
+                shutil.rmtree(staged, ignore_errors=True)
+                name = str(exc.filename) if isinstance(exc, OSError) else ""
+                if name.startswith(str(staged)):
+                    exc.filename = str(out) + name[len(str(staged)) :]
 
 
 def _writer_for(n_values: int) -> _Writer:
@@ -525,17 +554,23 @@ def _read_config(config_path: str) -> PhantomConfig:
         return PhantomConfig.from_dict(read_json(Path(config_path)))
 
 
-def _require_cohort_dir(out: Path) -> None:
-    """Refuse a cohort directory `out` unless it, or its nearest existing ancestor, is a directory.
+def _require_out(out: Path, index: str, first: str) -> None:
+    """Refuse an output directory `out` that a run could not replace whole; creates nothing.
 
-    Raises the error that writing its first file, `parcellation.csv`, would
-    raise, before the cohort is generated or a writer started. Creates nothing.
+    A file at or above `out` raises the error that writing its first file,
+    `first`, would raise. An existing directory must be empty or hold an
+    earlier run, whose index file is `index` (ValidationError otherwise).
     """
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():
-                first = str(out / "parcellation.csv")
+                first = str(out / first)
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), first)
+            if path == out and not (out / index).is_file() and any(out.iterdir()):
+                raise ValidationError(
+                    f"{out} is not empty and holds no {index}: only an empty directory"
+                    " or an earlier run of this command is replaced"
+                )
             return
 
 
@@ -549,31 +584,31 @@ def cmd_phantom(config_path: str, out_dir: str, writer: _Writer | None = None) -
 
     Writes the parcellation, truth matrix, config and per-subject files (the
     subjects' through `writer`, left open, or else one of its own), then the
-    manifest once they all are. An old `manifest.json` goes before the first
-    write.
+    manifest once they all are, and publishes the directory.
     """
     cfg = _read_config(config_path)
     out = Path(out_dir)
-    _require_cohort_dir(out)
-    manifest_path = out / "manifest.json"
+    _require_out(out, MANIFEST_NAME, "parcellation.csv")
     # Writer processes start before the cohort is generated, so their imports overlap it.
     with _writer_for(_timeseries_values(cfg)) if writer is None else nullcontext(writer) as writer:
+        staged = writer.stage(out, MANIFEST_NAME)
         cohort = generate_cohort(cfg)
-        with suppress(FileNotFoundError, NotADirectoryError):
-            manifest_path.unlink()
-        write_parcellation_csv(out / "parcellation.csv", cohort.parcellation)
-        write_matrix_csv(out / "truth_fc.csv", cohort.truth_fc.values, cohort.truth_fc.roi_labels)
-        write_json(out / "config.json", asdict(cfg))
+        write_parcellation_csv(staged / "parcellation.csv", cohort.parcellation)
+        truth = cohort.truth_fc
+        write_matrix_csv(staged / "truth_fc.csv", truth.values, truth.roi_labels)
+        write_json(staged / "config.json", asdict(cfg))
         subjects = []
         for bundle in cohort.bundles:
             sid = bundle.subject_id
             paths = SubjectPaths(sid, **{name: f"{sid}/{name}.csv" for name in SUBJECT_FILES})
-            writer.submit(_write_subject, bundle, *(out / getattr(paths, n) for n in SUBJECT_FILES))
+            files = (staged / getattr(paths, name) for name in SUBJECT_FILES)
+            writer.submit(_write_subject, bundle, *files)
             subjects.append(paths)
         writer.wait()
-        _write_record(manifest_path, CohortManifest("parcellation.csv", tuple(subjects)))
+        _write_record(staged / MANIFEST_NAME, CohortManifest("parcellation.csv", tuple(subjects)))
+        writer.publish(staged)
     print(f"cohort: {cfg.n_subjects} subjects, {cfg.n_rois} ROIs, {cfg.n_timepoints} timepoints")
-    print(f"manifest: {manifest_path}")
+    print(f"manifest: {out / MANIFEST_NAME}")
     return cohort
 
 
@@ -582,28 +617,31 @@ def correct_cohort(
 ) -> Iterator[tuple[str, SignalMatrix]]:
     """Correct and write each subject to `out/<subject_id>.csv`, yielding it once it is handed on.
 
-    The files go through `writer`. An old `run_info.json` goes just before
-    the first file is written or handed on. After the last subject, waits
-    for every file, then writes `run_info.json` and prints a summary line.
+    The files go through `writer`, into the directory it stages for `out`.
+    After the last subject, waits for every file, then writes
+    `run_info.json`, publishes the directory and prints a summary line.
     """
+    staged = writer.stage(out, RUN_INFO_NAME)
     spec = PipelineSpec(kind)
     n_subjects = 0
     for n_subjects, bundle in enumerate(bundles, 1):
         with prefixed(f"subject {bundle.subject_id!r}"):
             corrected = run_pipeline(bundle, spec)
-        if n_subjects == 1:
-            with suppress(FileNotFoundError, NotADirectoryError):
-                (out / RUN_INFO_NAME).unlink()
-        writer.submit(_write_corrected, out / f"{bundle.subject_id}.csv", corrected)
+        writer.submit(_write_corrected, staged / f"{bundle.subject_id}.csv", corrected)
         yield bundle.subject_id, corrected
     writer.wait()
-    _write_record(out / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))
+    _write_record(staged / RUN_INFO_NAME, RunInfo(kind.value, n_subjects))
+    writer.publish(staged)
     print(f"pipeline {kind.value}: wrote {n_subjects} corrected timeseries to {out}")
 
 
 def cmd_correct(manifest_path: str, pipeline_name: str, out_dir: str) -> None:
+    """Correct every subject of a manifest into `out_dir`, which must not hold the manifest."""
     kind = PipelineKind.from_name(pipeline_name)
     manifest, base = load_manifest(Path(manifest_path))
+    if Path(os.path.realpath(base)).is_relative_to(os.path.realpath(out_dir)):
+        raise ValidationError(f"--out {out_dir} would replace the manifest's directory {base}")
+    _require_out(Path(out_dir), RUN_INFO_NAME, f"{manifest.subjects[0].subject_id}.csv")
     bundles = (load_bundle(base, paths) for paths in manifest.subjects)
     first = next(bundles)
     with _writer_for(len(manifest.subjects) * first.ts.values.size) as writer:
@@ -719,7 +757,9 @@ def compare(config_path: str, work: Path, bins: int) -> None:
     _require_bins(bins)
     # The cohort's timeseries, then each pipeline's corrected ones.
     n_values = (1 + len(PipelineKind)) * _timeseries_values(_read_config(config_path))
-    _require_cohort_dir(work / "cohort")
+    _require_out(work / "cohort", MANIFEST_NAME, "parcellation.csv")
+    for kind in PipelineKind:
+        _require_out(work / f"corrected_{kind.value}", RUN_INFO_NAME, RUN_INFO_NAME)
     with _writer_for(n_values) as writer:
         cohort = cmd_phantom(config_path, work / "cohort", writer)
         mfds = {}

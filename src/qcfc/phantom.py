@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataIntegrityError, SchemaError, ValidationError
+from .errors import DataIntegrityError, SchemaError, ValidationError, prefixed
 from .metrics import FcMatrix, Parcellation, default_roi_labels
-from .pipelines import HeadMotion, SubjectBundle, expand_hmp24
+from .pipelines import HeadMotion, SubjectBundle, check_rotations, expand_hmp24
 from .regression import (
     DesignMatrix,
     SignalMatrix,
@@ -198,7 +198,8 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
     ingredients, source mixtures, physio. Nothing conditions on
     artifact_gain, which only scales the injected artifact at the end.
     A config whose values overflow float64 on the way (a huge
-    artifact_gain or motion amplitude) raises ValidationError.
+    artifact_gain or motion amplitude), or that generates a rotation beyond
+    `MAX_ROTATION_RAD`, raises ValidationError.
     """
     with _one_blas_thread(), _overflow_refused():
         rng = np.random.default_rng(cfg.seed)
@@ -273,9 +274,12 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
             # Another grouping of this sum rounds differently and changes `ts`.
             ts = SignalMatrix(neural + (artifact + physio_leak), roi_labels)
 
+            sid = f"sub-{j:03d}"
+            with prefixed(f"config: subject {sid!r}"):
+                check_rotations(motion, ValidationError)
             bundles.append(
                 SubjectBundle(
-                    subject_id=f"sub-{j:03d}",
+                    subject_id=sid,
                     ts=ts,
                     motion=motion,
                     aroma=aroma,

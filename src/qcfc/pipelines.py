@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataIntegrityError, DimensionError, ValidationError
+from .errors import DataIntegrityError, DimensionError, QcfcError, ValidationError
 from .regression import (
     DesignMatrix,
     SignalMatrix,
@@ -28,6 +28,8 @@ from .regression import (
 
 __all__ = [
     "HMP_PARAM_LABELS",
+    "MAX_ROTATION_RAD",
+    "check_rotations",
     "HeadMotion",
     "PIPELINE_STAGES",
     "PipelineKind",
@@ -41,6 +43,10 @@ __all__ = [
 # Column order of every motion file and HeadMotion matrix: translations in
 # mm, then rotations in radians.
 HMP_PARAM_LABELS = ("dx_mm", "dy_mm", "dz_mm", "rx_rad", "ry_rad", "rz_rad")
+# The largest |rotation| a motion file or a phantom may hold: 0.5 rad, about
+# 29 degrees, more than a head turns in a head coil. Rotations written in
+# degrees under the `_rad` headers pass it once a scan moves half a degree.
+MAX_ROTATION_RAD = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,16 @@ class HeadMotion:
     @property
     def n_timepoints(self) -> int:
         return self.values.shape[0]
+
+
+def check_rotations(motion: HeadMotion, error: type[QcfcError]) -> None:
+    """Raise `error` naming the first rotation column whose |value| exceeds MAX_ROTATION_RAD."""
+    for label, peak in zip(HMP_PARAM_LABELS[3:], np.abs(motion.values[:, 3:]).max(axis=0)):
+        if peak > MAX_ROTATION_RAD:
+            raise error(
+                f"{label} reaches {peak:.4g} rad, beyond the {MAX_ROTATION_RAD} rad"
+                " (29 degree) bound on |rotation|"
+            )
 
 
 class PipelineKind(Enum):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError, prefixed
 from .metrics import Parcellation
-from .pipelines import HMP_PARAM_LABELS, HeadMotion
+from .pipelines import HMP_PARAM_LABELS, HeadMotion, check_rotations
 
 __all__ = [
     "atomic_write_text",
@@ -200,9 +200,12 @@ def write_motion_csv(path: Path, motion: HeadMotion) -> None:
 
 
 def read_motion_csv(path: Path) -> HeadMotion:
+    """Read a motion file; a rotation beyond `MAX_ROTATION_RAD` is refused, naming its column."""
     _, _, values = _read_table(path, 0, HMP_PARAM_LABELS)
     with prefixed(str(path), as_type=FileFormatError):
-        return HeadMotion(values)
+        motion = HeadMotion(values)
+        check_rotations(motion, FileFormatError)
+    return motion
 
 
 def write_parcellation_csv(path: Path, parc: Parcellation) -> None:

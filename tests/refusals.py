@@ -1,10 +1,11 @@
 """Every refusal of the `qcfc` command line, as one table of cases.
 
 A case copies one small phantom cohort, changes the copy, runs one command
-in it and checks how the command refuses: its exit code, its stderr, and
-the paths it must not leave behind. Every refusal, a usage error included,
-prints exactly one `error:` line and nothing else. Two runners take the
-same table:
+in it and checks how the command refuses: its exit code, its stderr, the
+paths it must not leave behind and the directories whose files it must
+leave as they were. Every refusal, a usage error included, prints exactly
+one `error:` line and nothing else, and leaves no `*.tmp` file or
+directory. Two runners take the same table:
 
     pytest tests/                   # each case through `qcfc.cli.main`, in this process
     python -m tests.refusals        # each case through the installed `qcfc` console script
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -57,7 +60,8 @@ BIG = "9" * 5000
 class Refusal:
     """One refused command: `stderr` is its whole line if it starts with `error: `, else how the
     message after `error: ` starts; `{work}` in it stands for the case's directory. `setup` changes
-    the copied cohort first, and may run commands with `run`."""
+    the copied cohort first, and may run commands with `run`. Every file under each directory in
+    `kept` must keep the bytes it had after `setup`."""
 
     name: str
     argv: list
@@ -66,6 +70,7 @@ class Refusal:
     absent: tuple = ()
     setup: Callable[[Run], object] = lambda run: None
     skip: str = ""
+    kept: tuple = ()
 
 
 def expect(run: Run, code: int, argv: list) -> None:
@@ -108,19 +113,45 @@ def set_json(path: str, value, *keys) -> None:
     Path(path).write_text(json.dumps(obj))
 
 
-def failed_phantom_rerun(run: Run) -> None:
-    Path("cohort/truth_fc.csv").unlink()
-    Path("cohort/truth_fc.csv").mkdir()
+# A directory name the filesystem allows (255 bytes at most) but whose staging sibling,
+# `<name>.<32 hex digits>.tmp`, it does not.
+LONG_NAME = "c" * 240
+
+
+def long_named_cohort(run: Run) -> None:
+    os.rename("cohort", LONG_NAME)
     write_config(Path("config_seed4.json"), seed=4)
-    expect(run, 3, ["phantom", "--config", "config_seed4.json", "--out", "cohort"])
 
 
 def failed_correct_rerun(run: Run) -> None:
-    """A baseline rerun over concat's output, then a concat rerun failing on a later subject."""
-    rerun = ["correct", *MANIFEST, "--out", "corrected_concat", "--pipeline"]
-    expect(run, 0, [*rerun, "baseline"])
+    """A baseline rerun over concat's output; then sub-003's timeseries holds a NaN."""
+    expect(run, 0, ["correct", *MANIFEST, "--pipeline", "baseline", "--out", "corrected_concat"])
     set_cells("cohort/sub-003/ts.csv", [5], 0, "nan")
-    expect(run, 4, [*rerun, "concat"])
+
+
+def flat_cohort(run: Run, run_info: bool) -> None:
+    """Each subject's timeseries as `cohort/<subject_id>.csv`, beside the manifest; with
+    `run_info`, also a copy of `corrected_concat/run_info.json`, as if corrected into `cohort`."""
+    listed = json.loads(Path(MANIFEST[1]).read_text())["subjects"]
+    for entry in listed:
+        os.rename(f"cohort/{entry['ts']}", f"cohort/{entry['subject_id']}.csv")
+        entry["ts"] = f"{entry['subject_id']}.csv"
+    set_json(MANIFEST[1], listed, "subjects")
+    if run_info:
+        shutil.copy("corrected_concat/run_info.json", "cohort")
+
+
+def unrelated_files(run: Run) -> None:
+    Path("notes").mkdir()
+    Path("notes/todo.txt").write_text("keep me\n")
+
+
+def rotations_in_degrees(path: str) -> None:
+    """Multiply a motion file's rotation columns by 180 / pi (about 57.3), as degrees."""
+    lines = Path(path).read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows = [[*row[:3], *(repr(math.degrees(float(cell))) for cell in row[3:])] for row in rows]
+    Path(path).write_text("".join(line + "\n" for line in [lines[0], *map(",".join, rows)]))
 
 
 def field_over_limit(run: Run) -> None:
@@ -226,13 +257,28 @@ CASES = [
     Refusal("report-nested-too-deep", ["report", "deep.json", "--csv", "comparison.csv"], 4,
             "deep.json: invalid JSON: ", ("comparison.csv",),
             lambda run: Path("deep.json").write_text("[" * 200_000)),
-    # A rerun that fails leaves no index file of the old run, so `qc` refuses the directory.
-    Refusal("failed-phantom-rerun", QC_RAW, 4,
-            "error: cannot read cohort/manifest.json: [Errno 2] No such file or directory:"
-            " 'cohort/manifest.json'", ("cohort/manifest.json", "qc.json"), failed_phantom_rerun),
-    Refusal("failed-correct-rerun", QC_CORRECTED, 4,
-            "error: corrected_concat has no run_info.json; run `correct` into this directory first",
-            ("corrected_concat/run_info.json", "qc.json"), failed_correct_rerun),
+    # A rerun that fails leaves the earlier run as it was; its error names the user's paths.
+    Refusal("failed-phantom-rerun", ["phantom", "--config", "config_seed4.json", "--out",
+                                     LONG_NAME], 3,
+            f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}:"
+            f" '{LONG_NAME}/parcellation.csv'",
+            setup=long_named_cohort, kept=(LONG_NAME,)),
+    Refusal("failed-correct-rerun", [*CORRECT[:-1], "corrected_concat"], 4,
+            "error: subject 'sub-003': cohort/sub-003/ts.csv: contains non-finite values",
+            setup=failed_correct_rerun, kept=("corrected_concat",)),
+    # `correct` never replaces its inputs, nor a directory that holds neither nothing nor an
+    # earlier run; each is refused before any subject is read.
+    *(Refusal(f"correct-over-{name}", [*CORRECT[:-1], out], 2,
+              f"error: --out {out} would replace the manifest's directory cohort",
+              setup=setup, kept=("cohort", "corrected_concat"))
+      for name, out, setup in (
+          ("its-inputs", "cohort", lambda run: flat_cohort(run, run_info=False)),
+          ("its-inputs-with-a-run-info", "cohort", lambda run: flat_cohort(run, run_info=True)),
+          ("the-working-directory", ".", lambda run: None))),
+    Refusal("correct-over-unrelated-files", [*CORRECT[:-1], "notes"], 2,
+            "error: notes is not empty and holds no run_info.json: only an empty directory"
+            " or an earlier run of this command is replaced",
+            setup=unrelated_files, kept=("notes",)),
     Refusal("missing-run-info",
             ["qc", *MANIFEST, "--corrected", "cohort", "--report", "qc.json"], 4,
             "error: cohort has no run_info.json; run `correct` into this directory first",
@@ -269,9 +315,9 @@ CASES = [
             "error: subject 'sub-002': need at least 3 timepoints for correlation, got 2",
             ("qc.json",),
             lambda run: edit_lines(keep(3), *(f"cohort/sub-002/{f}.csv" for f in SUBJECT_FILES))),
-    # A rerun, which removes the old run_info.json before its first file.
+    # A rerun failing on a later subject, which leaves the earlier run as it was.
     Refusal("csv-field-over-limit", [*CORRECT[:-1], "corrected_concat"], 4, OVER_LIMIT,
-            ("corrected_concat/run_info.json",), field_over_limit),
+            setup=field_over_limit, kept=("corrected_concat",)),
     Refusal("csv-field-over-limit-in-qc", QC_RAW, 4, OVER_LIMIT, ("qc.json",), field_over_limit),
     Refusal("subnormal-cell", QC_RAW, 4,
             "error: subject 'sub-001': cohort/sub-001/ts.csv: row 6, column 2:"
@@ -351,6 +397,14 @@ CASES = [
             " overflow float64",
             ("out/run_info.json",),
             lambda run: set_cells("cohort/sub-002/motion.csv", [5], 0, "1e200")),
+    # Rotations written in degrees under the `_rad` headers (MAX_ROTATION_RAD is 0.5).
+    Refusal("rotations-in-degrees", QC_RAW, 4,
+            "error: subject 'sub-002': cohort/sub-002/motion.csv: rx_rad reaches 2.14 rad, beyond"
+            " the 0.5 rad (29 degree) bound on |rotation|", ("qc.json",),
+            lambda run: rotations_in_degrees("cohort/sub-002/motion.csv")),
+    Refusal("config-rotations-beyond-bound", PHANTOM, 2,
+            "config: subject 'sub-000': rx_rad reaches ", ("out",),
+            config(motion_amplitude_range=[20.0, 30.0])),
     Refusal("mean-fd-squares-overflow", QC_RAW, 4,
             "error: subject 'sub-002': mean FD is too large: the cohort's sum of squares"
             " overflows", ("qc.json",),
@@ -463,13 +517,22 @@ def make_base(root: Path, run: Run) -> Path:
     return root
 
 
+def files_under(directories) -> dict:
+    """The bytes of every file under each directory, by path."""
+    return {str(path): path.read_bytes() for directory in directories
+            for path in sorted(Path(directory).rglob("*")) if path.is_file()}
+
+
 def check(case: Refusal, run: Run, base: Path, work: Path) -> None:
     """Run `case` in `work`, a fresh copy of `base`; an AssertionError says what differed."""
     shutil.copytree(base, work)
     with inside(work):
         case.setup(run)
+        kept = files_under(case.kept)
         code, err = run(case.argv)
         left = [path for path in case.absent if os.path.lexists(path)]
+        left += [str(path) for path in Path().rglob("*.tmp")]
+        changed = kept != files_under(case.kept)
         expected = case.stderr.replace("{work}", os.getcwd())
     assert code == case.code, f"exit code {code}, expected {case.code}: {err!r}"
     lines = err.splitlines()
@@ -480,6 +543,7 @@ def check(case: Refusal, run: Run, base: Path, work: Path) -> None:
     else:
         assert lines[0].startswith(f"error: {expected}"), f"{lines[0]!r} !~ {expected!r}"
     assert not left, f"left behind: {left}"
+    assert not changed, f"changed a file under {case.kept}"
 
 
 def in_process(argv: list) -> tuple:

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import qcfc.storage as storage
 from qcfc import FileFormatError, HeadMotion, Parcellation, ValidationError
-from qcfc.pipelines import HMP_PARAM_LABELS
+from qcfc.pipelines import HMP_PARAM_LABELS, MAX_ROTATION_RAD
 from qcfc.storage import (
     PARCELLATION_HEADER,
     Record,
@@ -180,11 +180,26 @@ class TestMatrixErrors:
 
 class TestMotionCsv:
     def test_round_trip(self, tmp_path):
-        motion = HeadMotion(np.random.default_rng(1).standard_normal((5, 6)))
+        # Rotations (the last three columns) within MAX_ROTATION_RAD.
+        scale = np.array([1.0, 1.0, 1.0, 0.1, 0.1, 0.1])
+        motion = HeadMotion(np.random.default_rng(1).standard_normal((5, 6)) * scale)
         path = tmp_path / "motion.csv"
         write_motion_csv(path, motion)
         back = read_motion_csv(path)
         assert np.array_equal(back.values, motion.values)
+
+    @pytest.mark.parametrize("column", range(3, 6))
+    def test_rotation_beyond_the_bound_is_refused_naming_its_column(self, tmp_path, column):
+        values = np.zeros((3, 6))
+        values[1, column] = -np.nextafter(MAX_ROTATION_RAD, 1.0)
+        path = tmp_path / "motion.csv"
+        write_motion_csv(path, HeadMotion(values))
+        with pytest.raises(FileFormatError) as err:
+            read_motion_csv(path)
+        assert str(err.value).startswith(f"{path}: {HMP_PARAM_LABELS[column]} reaches 0.5 rad")
+        values[1, column] = -MAX_ROTATION_RAD
+        write_motion_csv(path, HeadMotion(values))
+        assert np.array_equal(read_motion_csv(path).values, values)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "motion.csv"

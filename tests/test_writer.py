@@ -4,7 +4,10 @@ The writers change where the files are formatted, never their bytes, which
 failure a command reports, or what is left behind when it ends.
 """
 
+import errno
+import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -54,6 +57,19 @@ def writers_or_none(request, monkeypatch):
 def correct(cohort: Path, pipeline: str, out: Path) -> int:
     manifest = str(cohort / "manifest.json")
     return main(["correct", "--manifest", manifest, "--pipeline", pipeline, "--out", str(out)])
+
+
+def long_ids(cohort: Path, copy: Path, *positions: int) -> list[str]:
+    """Copy `cohort` to `copy`, giving the subjects at `positions` ids too long for a file name.
+
+    So writing those subjects' corrected files fails, in a writer if there is one.
+    """
+    shutil.copytree(cohort, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    for k in positions:
+        manifest["subjects"][k]["subject_id"] += "x" * 250
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return [manifest["subjects"][k]["subject_id"] for k in positions]
 
 
 def expected_corrected(cohort: Path, kind: PipelineKind) -> dict:
@@ -131,20 +147,16 @@ def test_corrected_files_hold_the_callers_pipeline_result(cohort, tmp_path, writ
 
 
 def test_blocked_outputs_exit_3_naming_the_earlier_subject(cohort, tmp_path, writers, capsys):
+    """The error names the earlier subject's file under `--out`, and the earlier run stays."""
     out = tmp_path / "out"
-    for sid in ("sub-001", "sub-003"):
-        (out / f"{sid}.csv").mkdir(parents=True)
-    assert correct(cohort, "concat", out) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "sub-001" in err and "sub-003" not in err
-    assert list(out.rglob("*.tmp")) == []
-    assert not (out / "run_info.json").exists()
-    # Subjects already handed to a writer may still be written, each one whole.
-    expected = expected_corrected(cohort, PipelineKind.CONCAT_ALL)
-    for path in out.glob("*.csv"):
-        if path.is_file():
-            assert read_matrix_csv(path)[0].tobytes() == expected[path.stem].values.tobytes()
+    assert correct(cohort, "baseline", out) == 0
+    before = _tree_bytes(out)
+    earlier, _later = long_ids(cohort, tmp_path / "cohort", 1, 3)
+    assert correct(tmp_path / "cohort", "concat", out) == 3
+    reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert capsys.readouterr().err == f"error: {reason}: {str(out / f'{earlier}.csv')!r}\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert _tree_bytes(out) == before
 
 
 def test_corrected_files_hold_the_matrix_the_caller_scored(
@@ -375,8 +387,8 @@ def test_no_process_outlives_a_command(cohort, tmp_path, writers, outcome):
     if outcome == "success":
         assert correct(cohort, "concat", tmp_path / "out") == 0
     elif outcome == "write-failure":
-        (tmp_path / "out" / "sub-002.csv").mkdir(parents=True)
-        assert correct(cohort, "concat", tmp_path / "out") == 3
+        long_ids(cohort, tmp_path / "cohort", 2)
+        assert correct(tmp_path / "cohort", "concat", tmp_path / "out") == 3
     elif outcome == "dead-writer":
         assert run_guarded(dying_command) == 3
     else:
