@@ -11,8 +11,9 @@ Four subcommands cover the full chain:
 process (`scripts/run_full_comparison.py`), computing each subject's mean FD
 once. Scoring takes each subject as (subject_id, mean FD, timeseries); `qc`
 checks a timeseries' ROI labels and motion rows as it loads them. Scoring
-keeps only each subject's edges, one connectivity matrix at a time, so it
-holds one subjects x edges array and peaks at about twice its size.
+keeps only each subject's edges, one connectivity matrix at a time, stacks
+them into one subjects x edges array and scores that in place, copying at
+most one block of its columns at a time.
 
 Formatting floats as text is most of a run's time, so `phantom`, `correct`
 and `compare` open one `_Writer` each (README, "Writer processes") and pass
@@ -59,7 +60,6 @@ import queue
 import shutil
 import subprocess
 import sys
-import uuid
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext, suppress
@@ -99,6 +99,7 @@ from .storage import (
     read_motion_csv,
     read_parcellation_csv,
     record_from_json,
+    temporary_name,
     write_json,
     write_matrix_csv,
     write_motion_csv,
@@ -453,17 +454,17 @@ class _Writer:
         return self
 
     def stage(self, out: Path, index: str) -> Path:
-        """A fresh sibling `<out>.<hex>.tmp` for `out`'s next run; `out` must pass `_require_out`."""
+        """A fresh sibling (`temporary_name`) for `out`'s next run; `out` must pass `_require_out`."""
         _require_out(out, index, index)
         real = Path(os.path.realpath(out))
-        staged = real.with_name(f"{real.name}.{uuid.uuid4().hex}.tmp")
+        staged = temporary_name(real)
         self._staged[staged] = (real, Path(out))
         return staged
 
     def publish(self, staged: Path) -> None:
         """Rename the run in `staged`'s place aside, then `staged` into it; delete the old run."""
         real, _ = self._staged[staged]
-        aside = staged.with_suffix(".old.tmp")
+        aside = temporary_name(real, ".old.tmp")
         with suppress(FileNotFoundError):
             os.rename(real, aside)
         os.rename(staged, real)
@@ -660,8 +661,9 @@ def score_cohort(
 
     Each subject arrives with its mean FD and with a timeseries that already
     carries the ROI labels of the parcellation with these `edge_lengths`.
-    Only the subject's edges outlive its connectivity matrix, so scoring
-    holds one subjects x edges array and peaks at about twice its size.
+    Only the subject's edges outlive its connectivity matrix. Stacking them
+    into one subjects x edges array holds them twice for a moment; scoring
+    that array (`_qcfc_edges`) adds a copy of at most one block of edges.
     """
     ids, rows, mfds = [], [], []
     for subject_id, mfd, ts in subjects:
@@ -670,7 +672,7 @@ def score_cohort(
         ids.append(subject_id)
         mfds.append(mfd)
     edges = np.array(rows)
-    del rows  # freed before scoring copies the edges
+    del rows  # freed before scoring
     report = _qcfc_edges(edges, np.array(mfds), ids)
     rho, p = distance_dependence(report, lengths)
     run_report = RunReport(

@@ -35,6 +35,7 @@ from .pipelines import HeadMotion
 from .regression import (
     SignalMatrix,
     _max_abs,
+    _one_blas_thread,
     _threaded,
     _validated_labels,
     _validated_matrix,
@@ -338,13 +339,18 @@ def _subject_mfd(mfd_per_subject, s: int) -> np.ndarray:
     return mfd
 
 
+# Defined edges per QC-FC matrix-vector product. A multiple of any row unroll of
+# OpenBLAS's gemv kernels, so each edge's r has the bits of one product over them all.
+_QCFC_BLOCK = 4096
+
+
 def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
     """Correlate each edge's connectivity with mean FD across subjects.
 
     Undefined edges (connectivity that does not vary across subjects)
     carry NaN and are excluded from the report's median. The subjects'
     edges are copied into one subjects x edges array, which `_qcfc_edges`
-    scores at about twice its size.
+    scores in place, block by block.
     """
     mfd = _subject_mfd(mfd_per_subject, len(fc_per_subject))
     labels = fc_per_subject[0].roi_labels
@@ -361,10 +367,12 @@ def qcfc(fc_per_subject: list[FcMatrix], mfd_per_subject) -> QcFcReport:
 def _qcfc_edges(edges: np.ndarray, mfd_per_subject, subject_ids=None) -> QcFcReport:
     """`qcfc` on a C-order float subjects x edges array, which it owns and centres in place.
 
-    Besides `edges` it allocates one copy of the defined edges' columns, so
-    it peaks at about twice the array's size. When the mean FDs' sum of
-    squares overflows, the error names the subject furthest from the cohort
-    mean, by its entry of `subject_ids` or else by its index.
+    Besides `edges` it holds a few vectors of one value per edge and a copy
+    of at most `_QCFC_BLOCK` defined edges' columns at a time. The products
+    run on one OpenBLAS thread, so r does not depend on the caller's count.
+    When the mean FDs' sum of squares overflows, the error names the subject
+    furthest from the cohort mean, by its entry of `subject_ids` or else by
+    its index.
     """
     s = edges.shape[0]
     mfd = _subject_mfd(mfd_per_subject, s)
@@ -388,11 +396,14 @@ def _qcfc_edges(edges: np.ndarray, mfd_per_subject, subject_ids=None) -> QcFcRep
     defined = _varies(ss_edges, edges, max_abs)
 
     r_vals = np.full(edges.shape[1], np.nan)
-    if defined.any():
-        # Kept even when every edge is defined: the copy is F-order, and the
-        # product on C-order `edges` itself rounds many r values differently.
-        r_def = _threaded(np.matmul, edges[:, defined].T, g) / np.sqrt(ss_edges[defined] * ssg)
-        r_vals[defined] = np.clip(r_def, -1.0, 1.0)
+    cols = np.flatnonzero(defined)
+    with _one_blas_thread():
+        for start in range(0, cols.size, _QCFC_BLOCK):
+            block = cols[start : start + _QCFC_BLOCK]
+            # An F-order copy, so each r is one dot product of contiguous values:
+            # the product on C-order `edges` itself rounds many r values differently.
+            r_vals[block] = edges[:, block].T @ g
+    r_vals[cols] = np.clip(r_vals[cols] / np.sqrt(ss_edges[cols] * ssg), -1.0, 1.0)
     return QcFcReport(edge_qcfc=r_vals, n_subjects=s)
 
 

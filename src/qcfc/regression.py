@@ -12,15 +12,15 @@ the last block regressed: earlier blocks can re-enter through later,
 correlated ones. `sequential_residualize` deliberately preserves that
 behavior; use a single concatenated design when joint removal is wanted.
 
-BLAS threads: the pipelines and the cohort generator run inside
-`_one_blas_thread`, so their bits do not depend on the caller's OpenBLAS
-thread count. The connectivity products of `qcfc.metrics` (`fc_matrix`'s
-gram, the QC-FC matrix-vector product and `pearson`'s dot products) and
-`max_abs_correlation`'s product run on the caller's count through
-`_threaded`. Where NumPy's OpenBLAS takes a threads callback (0.3.28 or
-later), their jobs run on Python threads that block when idle, not on
-OpenBLAS's own threads, which spin for about 0.1 s after every call; the
-count and the split into jobs stay OpenBLAS's, so the bits do too.
+BLAS threads: the pipelines, the cohort generator and the QC-FC
+matrix-vector products of `qcfc.metrics` run inside `_one_blas_thread`, so
+their bits do not depend on the caller's OpenBLAS thread count. Only
+`fc_matrix`'s gram, `pearson`'s dot products and `max_abs_correlation`'s
+product run on the caller's count, through `_threaded`. Where NumPy's
+OpenBLAS takes a threads callback (0.3.28 or later), their jobs run on
+Python threads that block when idle, not on OpenBLAS's own threads, which
+spin for about 0.1 s after every call; the count and the split into jobs
+stay OpenBLAS's, so the bits do too.
 """
 
 from __future__ import annotations
@@ -348,7 +348,8 @@ def residualize_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     if rank == 0:
         return y.copy()
     qb = q[:, :rank]
-    resid = y - qb @ (qb.T @ y)
+    resid = qb @ (qb.T @ y)
+    np.subtract(y, resid, out=resid)
     resid -= qb @ (qb.T @ resid)
     return resid
 
@@ -399,7 +400,10 @@ def sequential_residualize(
     e = demean_columns(Y.values)
     for b in blocks:
         _check_rows(Y, b)
-        e = residualize_columns(demean_columns(e), demean_columns(b.values))
+        # `demean_columns`'s two subtractions, in place: `e` is always this function's own.
+        e -= e.mean(axis=0, keepdims=True)
+        e -= e.mean(axis=0, keepdims=True)
+        e = residualize_columns(e, demean_columns(b.values))
     return SignalMatrix(e, Y.column_labels)
 
 

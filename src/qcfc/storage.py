@@ -9,7 +9,8 @@ every float cell is parsed by one table reader. A matrix is formatted one
 row at a time through a single `%.17g,...,%.17g` row format; only the
 header row goes through `csv` quoting, since labels may contain commas,
 quotes, line feeds or carriage returns. Writes go to a uniquely
-named temporary file in the same directory, are synced to disk and renamed
+named temporary file in the same directory (`temporary_name`: at most 255
+bytes, whatever the target's name), are synced to disk and renamed
 into place, so a failed run never leaves a partial file and two runs never
 share a temporary file; a failed write removes its temporary file and its
 OSError names the file asked for. A write creates its file's missing parent
@@ -18,7 +19,8 @@ JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
 reruns are byte-identical on the same CPU with the same BLAS thread count.
 Cohort and corrected files do not depend on that count (generation and the
 pipelines run on one OpenBLAS thread); QC reports and `comparison.csv`
-still can, since the connectivity products keep the caller's count. Every
+still can, since `fc_matrix`'s gram and `pearson`'s dot products keep the
+caller's count (the QC-FC products run on one thread). Every
 file is read and written as UTF-8; a byte-order mark that starts a file is
 not part of its text. A file that cannot be opened, holds an
 invalid UTF-8 byte, or that the CSV reader or JSON decoder refuses (a field
@@ -53,6 +55,7 @@ from .metrics import Parcellation
 from .pipelines import HMP_PARAM_LABELS, HeadMotion, check_rotations
 
 __all__ = [
+    "temporary_name",
     "atomic_write_text",
     "csv_text",
     "write_matrix_csv",
@@ -70,16 +73,31 @@ __all__ = [
 PARCELLATION_HEADER = ("roi", "x_mm", "y_mm", "z_mm")
 # The text of every float cell: 17 significant digits read back exactly.
 _FLOAT_FORMAT = "%.17g"
+# The longest file name, in bytes, that most filesystems allow.
+_NAME_MAX = 255
+
+
+def temporary_name(path: Path, suffix: str = ".tmp") -> Path:
+    """A fresh sibling of `path`, `<start of its name>.<random hex><suffix>`, for a rename onto it.
+
+    The start of the name is cut to whole characters, so the whole name is
+    at most 255 bytes of UTF-8 (the limit of most filesystems) however long
+    `path`'s name is.
+    """
+    tail = f".{uuid.uuid4().hex}{suffix}"
+    start = os.fsencode(path.name)[: _NAME_MAX - len(tail.encode())]
+    return path.with_name(start.decode("utf-8", "ignore") + tail)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write through a uniquely named temporary file, synced, then renamed onto `path`.
 
     Creates the missing parent directories of `path`. A failure removes the
-    temporary file; an OSError is raised again naming `path` instead of it.
+    temporary file (`temporary_name`); an OSError is raised again naming
+    `path` instead of it.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = temporary_name(path)
     try:
         try:
             fh = open(tmp, "x", encoding="utf-8")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import errno
 import io
 import json
 import math
@@ -113,14 +112,14 @@ def set_json(path: str, value, *keys) -> None:
     Path(path).write_text(json.dumps(obj))
 
 
-# A directory name the filesystem allows (255 bytes at most) but whose staging sibling,
-# `<name>.<32 hex digits>.tmp`, it does not.
-LONG_NAME = "c" * 240
+# The longest directory name a filesystem allows, 255 bytes.
+LONG_NAME = "c" * 255
 
 
 def long_named_cohort(run: Run) -> None:
+    """The cohort renamed to `LONG_NAME`; a config of another seed whose rotations are too large."""
     os.rename("cohort", LONG_NAME)
-    write_config(Path("config_seed4.json"), seed=4)
+    write_config(Path("config_seed4.json"), seed=4, motion_amplitude_range=[20.0, 30.0])
 
 
 def failed_correct_rerun(run: Run) -> None:
@@ -259,9 +258,8 @@ CASES = [
             lambda run: Path("deep.json").write_text("[" * 200_000)),
     # A rerun that fails leaves the earlier run as it was; its error names the user's paths.
     Refusal("failed-phantom-rerun", ["phantom", "--config", "config_seed4.json", "--out",
-                                     LONG_NAME], 3,
-            f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}:"
-            f" '{LONG_NAME}/parcellation.csv'",
+                                     LONG_NAME], 2,
+            "config: subject 'sub-000': rx_rad reaches ",
             setup=long_named_cohort, kept=(LONG_NAME,)),
     Refusal("failed-correct-rerun", [*CORRECT[:-1], "corrected_concat"], 4,
             "error: subject 'sub-003': cohort/sub-003/ts.csv: contains non-finite values",

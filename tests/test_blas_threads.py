@@ -1,12 +1,13 @@
-"""The cohort generator and the pipelines run on one OpenBLAS thread.
+"""The cohort generator, the pipelines and QC-FC scoring run on one OpenBLAS thread.
 
 Their outputs must not depend on the caller's thread count, and the
 caller's count must be back in place afterwards, however the call ends.
 
-The connectivity products and `max_abs_correlation`'s product run on the
-caller's count through `regression._threaded`, whose job threads block
-instead of spinning when idle. Their bits, their floating-point errors and
-the main thread's interrupts must be what they are without it.
+`fc_matrix`'s gram, `pearson`'s dot products and `max_abs_correlation`'s
+product run on the caller's count through `regression._threaded`, whose job
+threads block instead of spinning when idle. Their bits, their
+floating-point errors and the main thread's interrupts must be what they
+are without it.
 """
 
 import _thread
@@ -85,6 +86,22 @@ def test_outputs_do_not_depend_on_callers_thread_count():
 
 
 @needs_control
+def test_qcfc_edges_do_not_depend_on_callers_thread_count():
+    # 40 subjects x 55,278 edges, every 97th constant: here one product over all the
+    # defined edges on two OpenBLAS threads gives other bits than on one.
+    rng = np.random.default_rng(11)
+    edges = rng.standard_normal((40, 333 * 332 // 2))
+    edges[:, ::97] = 0.5
+    mfd = rng.uniform(0.1, 0.5, 40)
+    r = {}
+    for count in (1, 2, 4):
+        with caller_threads(count):
+            r[count] = _qcfc_edges(edges.copy(), mfd).edge_qcfc.tobytes()
+            assert thread_counts() == [count] * len(regression._BLAS_THREAD_CONTROLS)
+    assert r[2] == r[1] and r[4] == r[1]
+
+
+@needs_control
 def test_callers_count_restored_after_return():
     bundle = generate_cohort(SMALL_CONFIG).bundles[0]
     with caller_threads(2):
@@ -138,16 +155,13 @@ def test_without_thread_control_outputs_are_unchanged(monkeypatch):
 
 
 def paper_products() -> dict:
-    """The products `_threaded` runs, at paper scale: 333 ROIs x 1200 TRs, 40 subjects."""
+    """The products `_threaded` runs, at paper scale: 333 ROIs x 1200 TRs, 55,278 edges."""
     rng = np.random.default_rng(5)
     ts = SignalMatrix(rng.standard_normal((1200, 333)))
     components = DesignMatrix(rng.standard_normal((1200, 30)), tuple(f"c{i}" for i in range(30)))
-    edges = rng.standard_normal((40, 333 * 332 // 2))
-    mfd = rng.uniform(0.1, 0.5, 40)
-    x, y = rng.standard_normal((2, edges.shape[1]))
+    x, y = rng.standard_normal((2, 333 * 332 // 2))
     return {
         "fc_matrix": lambda: fc_matrix(ts).values.tobytes(),
-        "_qcfc_edges": lambda: _qcfc_edges(edges.copy(), mfd).edge_qcfc.tobytes(),
         "spearman": lambda: spearman(x, y),
         "max_abs_correlation": lambda: max_abs_correlation(ts, components),
     }

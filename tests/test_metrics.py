@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from qcfc import (
     qcfc,
     spearman,
 )
+import qcfc.metrics as metrics
 from qcfc.metrics import QcFcReport, _average_ranks, _edge_order, _qcfc_edges
 from qcfc.regression import _max_abs, _varies, max_abs_correlation
 
@@ -448,6 +450,38 @@ class TestQcfc:
         assert np.allclose(from_list.edge_qcfc, r_o, atol=1e-10, equal_nan=True)
         assert np.allclose(from_list.edge_pvalues, p_o, atol=1e-6, equal_nan=True)
         assert np.isclose(from_list.median_abs_qcfc, med_o, rtol=0.0, atol=1e-10, equal_nan=True)
+
+    def test_edges_core_holds_no_second_copy_of_the_edges(self):
+        # The paper's 333 ROIs give 55,278 edges; 40 subjects, as in its in-memory comparison.
+        rng = np.random.default_rng(29)
+        edges = rng.standard_normal((40, 333 * 332 // 2))
+        mfd = rng.uniform(0.1, 0.5, 40)
+        _qcfc_edges(edges[:, :3].copy(), mfd)  # creates what a first call does once
+        tracemalloc.start()
+        try:
+            _qcfc_edges(edges, mfd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * edges.nbytes, f"peak {peak / edges.nbytes:.2f} x the edges array"
+
+    @pytest.mark.parametrize(
+        "blocks, extra",
+        [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+        ids=["1", "block-1", "block", "block+1", "3*block+7"],
+    )
+    def test_edges_core_in_blocks_has_the_bits_of_one_product(self, monkeypatch, blocks, extra):
+        n_defined = blocks * metrics._QCFC_BLOCK + extra
+        rng = np.random.default_rng(30)
+        # A constant, so undefined, edge before every 4th defined one.
+        defined = rng.standard_normal((12, n_defined))
+        edges = np.insert(defined, np.arange(0, n_defined, 4), 0.25, axis=1)
+        mfd = rng.uniform(0.1, 0.5, 12)
+        in_blocks = _qcfc_edges(edges.copy(), mfd)
+        assert in_blocks.n_edges - in_blocks.undefined_edge_count == n_defined
+        monkeypatch.setattr(metrics, "_QCFC_BLOCK", edges.shape[1])
+        whole = _qcfc_edges(edges, mfd)
+        assert in_blocks.edge_qcfc.tobytes() == whole.edge_qcfc.tobytes()
 
     @pytest.mark.parametrize("n_subjects", [0, 2])
     def test_edges_core_refuses_too_few_subjects(self, n_subjects):

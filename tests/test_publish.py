@@ -153,6 +153,25 @@ def test_a_symbolic_link_out_keeps_pointing_at_the_new_run(cohort, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
 
 
+@pytest.mark.parametrize("name", ["c" * 255, "é" * 127 + "c"], ids=["ascii", "two-byte"])
+def test_an_out_named_with_the_longest_name_is_written_and_rewritten(
+    cohort, tmp_path, writers_or_none, name
+):
+    """255 bytes, the longest name a filesystem allows: the staging and temporary names fit."""
+    assert len(name.encode()) == 255
+    cfg = write_config(tmp_path / "config.json")
+    out = tmp_path / "phantom" / name
+    for _ in range(2):
+        assert main(["phantom", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _tree_bytes(out) == _tree_bytes(cohort)
+    expected, out = tmp_path / "expected", tmp_path / "correct" / name
+    assert correct(cohort, "concat", expected) == 0
+    for _ in range(2):
+        assert correct(cohort, "concat", out) == 0
+        assert _tree_bytes(out) == _tree_bytes(expected)
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_the_comparison_script_rerun_into_its_workdir_writes_the_same_tree(tmp_path, monkeypatch):
     cfg = write_small_config(tmp_path / "config.json")
     work = tmp_path / "work"

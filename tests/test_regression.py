@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,20 @@ class TestSequentialResidualize:
         naive = sequential_residualize(bundle.ts, blocks)
         assert np.abs(fwl.values - conc.values).max() <= 1e-10
         assert np.abs(naive.values - conc.values).max() > 1e-3
+
+    def test_peak_holds_one_running_residual(self):
+        # The paper's sequential pipelines: 1200 x 333 signals, blocks of 24, 30 and 2 columns.
+        rng = np.random.default_rng(15)
+        y = SignalMatrix(rng.standard_normal((1200, 333)))
+        blocks = [design(rng.standard_normal((1200, k))) for k in (24, 30, 2)]
+        sequential_residualize(SignalMatrix(y.values[:, :1]), blocks)  # imports what a fit needs
+        tracemalloc.start()
+        try:
+            sequential_residualize(y, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * y.values.nbytes, f"peak {peak / y.values.nbytes:.2f} x the signal"
 
     def test_last_block_only_guarantee(self):
         rng = np.random.default_rng(14)

@@ -2,6 +2,7 @@ import errno
 import os
 import stat
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qcfc.storage import (
     read_motion_csv,
     read_parcellation_csv,
     record_from_json,
+    temporary_name,
     write_json,
     write_matrix_csv,
     write_motion_csv,
@@ -438,6 +440,23 @@ class TestAtomicWrite:
                 atomic_write_text(target, "hello")
             assert str(info.value) == f"[Errno {code}] {os.strerror(code)}: {str(target)!r}"
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("name", ["c" * 255, "é" * 127 + "c", "€" * 85])
+    def test_a_target_of_the_longest_name_is_written(self, tmp_path, name):
+        target = tmp_path / name
+        atomic_write_text(target, "hello")
+        assert target.read_text() == "hello"
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("name", ["c" * 255, "é" * 127 + "c", "€" * 85, "x", "b\udcff" * 120])
+    @pytest.mark.parametrize("suffix", [".tmp", ".old.tmp"])
+    def test_temporary_names_are_fresh_short_and_end_in_their_suffix(self, name, suffix):
+        names = {temporary_name(Path("/d") / name, suffix) for _ in range(100)}
+        assert len(names) == 100
+        for tmp in names:
+            assert tmp.parent == Path("/d") and tmp.name.endswith(suffix)
+            assert len(tmp.name.encode()) <= 255
+            assert tmp.name.startswith(name[:10].encode("utf-8", "ignore").decode())
 
     def test_mode_matches_plain_open(self, tmp_path):
         with open(tmp_path / "plain.txt", "w") as fh:
