@@ -11,8 +11,8 @@ Four subcommands cover the full chain:
 process (`scripts/run_full_comparison.py`), computing each subject's mean FD
 once. Scoring takes each subject as (subject_id, mean FD, timeseries); `qc`
 checks a timeseries' ROI labels and motion rows as it loads them. Scoring
-keeps only each subject's edges, one connectivity matrix at a time, stacks
-them into one subjects x edges array and scores that in place, copying at
+keeps only each subject's edges, one connectivity matrix at a time, in its
+row of one subjects x edges array, and scores that in place, copying at
 most one block of its columns at a time.
 
 Formatting floats as text is most of a run's time, so `phantom`, `correct`
@@ -654,25 +654,25 @@ def score_cohort(
     pipeline_name: str,
     lengths: np.ndarray,
     subjects: Iterable[Subject],
+    n_subjects: int,
     report_path: Path,
     bins: int,
 ) -> None:
     """Score a cohort with QC-FC and distance dependence; write the report and its histogram CSV.
 
-    Each subject arrives with its mean FD and with a timeseries that already
-    carries the ROI labels of the parcellation with these `edge_lengths`.
-    Only the subject's edges outlive its connectivity matrix. Stacking them
-    into one subjects x edges array holds them twice for a moment; scoring
+    `subjects` yields `n_subjects` subjects, each with its mean FD and with a
+    timeseries that already carries the ROI labels of the parcellation with
+    these `edge_lengths`. Only the subject's edges outlive its connectivity
+    matrix: they fill its row of one subjects x edges array, and scoring
     that array (`_qcfc_edges`) adds a copy of at most one block of edges.
     """
-    ids, rows, mfds = [], [], []
-    for subject_id, mfd, ts in subjects:
+    edges = np.empty((n_subjects, lengths.size))
+    ids, mfds = [], []
+    for row, (subject_id, mfd, ts) in zip(edges, subjects, strict=True):
         with prefixed(f"subject {subject_id!r}"):
-            rows.append(fc_matrix(ts).upper_triangle())
+            row[:] = fc_matrix(ts).upper_triangle()
         ids.append(subject_id)
         mfds.append(mfd)
-    edges = np.array(rows)
-    del rows  # freed before scoring
     report = _qcfc_edges(edges, np.array(mfds), ids)
     rho, p = distance_dependence(report, lengths)
     run_report = RunReport(
@@ -746,7 +746,7 @@ def cmd_qc(manifest_path: str, corrected_dir: str | None, report_path: str, bins
                 mfd = mean_fd(framewise_displacement(motion))
             yield sid, mfd, ts
 
-    score_cohort(pipeline_name, lengths, subjects(), report, bins)
+    score_cohort(pipeline_name, lengths, subjects(), len(manifest.subjects), report, bins)
 
 
 def compare(config_path: str, work: Path, bins: int) -> None:
@@ -775,7 +775,8 @@ def compare(config_path: str, work: Path, bins: int) -> None:
             runs[kind.value] = correct_cohort(cohort.bundles, kind, out, writer)
         for name, timeseries in runs.items():
             subjects = ((sid, mfds[sid], ts) for sid, ts in timeseries)
-            score_cohort(name, lengths, subjects, work / f"qc_{name}.json", bins)
+            report = work / f"qc_{name}.json"
+            score_cohort(name, lengths, subjects, len(cohort.bundles), report, bins)
     print()
     cmd_report([str(work / f"qc_{name}.json") for name in runs], str(work / "comparison.csv"))
 

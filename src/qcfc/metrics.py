@@ -36,7 +36,6 @@ from .regression import (
     SignalMatrix,
     _max_abs,
     _one_blas_thread,
-    _threaded,
     _validated_labels,
     _validated_matrix,
     _varies,
@@ -248,18 +247,19 @@ def pearson(x, y) -> tuple[float, float]:
     Inputs that do not vary or whose sums of squares overflow are refused.
     """
     xa, ya = _as_pair(x, y)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"), _one_blas_thread():
         xc = xa - xa.mean()
         yc = ya - ya.mean()
-        ssx = float(_threaded(np.matmul, xc, xc))
-        ssy = float(_threaded(np.matmul, yc, yc))
+        ssx = float(xc @ xc)
+        ssy = float(yc @ yc)
+        sxy = float(xc @ yc)
     if not (math.isfinite(ssx) and math.isfinite(ssy)):
         raise DataIntegrityError("correlation input is too large: a sum of squares overflows")
     if not (_varies(ssx, xa) and _varies(ssy, ya)):
         raise DegenerateInputError("correlation is undefined for a constant input")
     prod = ssx * ssy
     denom = math.sqrt(prod) if math.isfinite(prod) else math.sqrt(ssx) * math.sqrt(ssy)
-    r = float(np.clip(float(_threaded(np.matmul, xc, yc)) / denom, -1.0, 1.0))
+    r = float(np.clip(sxy / denom, -1.0, 1.0))
     return r, float(_t_pvalues(np.array([r]), xa.size)[0])
 
 
@@ -310,7 +310,7 @@ def fc_matrix(ts: SignalMatrix) -> FcMatrix:
     exponent = np.frexp(max_abs)[1]
     centered = np.ldexp(values, -exponent)
     centered -= centered.mean(axis=0, keepdims=True)
-    gram = _threaded(np.matmul, centered.T, centered)
+    gram = centered.T @ centered
     ss = np.diag(gram).copy()
     dead = np.flatnonzero(~_varies(ss, values, np.ldexp(max_abs, -exponent)))
     if dead.size:

@@ -12,23 +12,21 @@ the last block regressed: earlier blocks can re-enter through later,
 correlated ones. `sequential_residualize` deliberately preserves that
 behavior; use a single concatenated design when joint removal is wanted.
 
-BLAS threads: the pipelines, the cohort generator and the QC-FC
-matrix-vector products of `qcfc.metrics` run inside `_one_blas_thread`, so
-their bits do not depend on the caller's OpenBLAS thread count. Only
-`fc_matrix`'s gram, `pearson`'s dot products and `max_abs_correlation`'s
-product run on the caller's count, through `_threaded`. Where NumPy's
-OpenBLAS takes a threads callback (0.3.28 or later), their jobs run on
-Python threads that block when idle, not on OpenBLAS's own threads, which
-spin for about 0.1 s after every call; the count and the split into jobs
-stay OpenBLAS's, so the bits do too.
+BLAS threads: the pipelines, the cohort generator, `max_abs_correlation`
+and every product of `qcfc.metrics` but one run inside `_one_blas_thread`,
+so their bits do not depend on the caller's OpenBLAS thread count. Only
+`fc_matrix`'s gram runs on the caller's count. Importing this module sets
+each wheel-bundled OpenBLAS's idle timeout to its least
+(`_sleep_when_idle`), so its helper threads block after a product instead
+of spinning for about 0.1 s; that changes no thread count and no split
+into jobs, so no bit.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -73,10 +71,13 @@ def _openblas_libs(pkg) -> Iterator[ctypes.CDLL]:
             continue
 
 
+_OPENBLAS_LIBS = [*_openblas_libs(np), *_openblas_libs(scipy)]
+
+
 def _blas_thread_controls() -> list[tuple]:
     """(get, set) thread-count functions of each OpenBLAS in `numpy.libs` and `scipy.libs`."""
     controls = []
-    for lib in (*_openblas_libs(np), *_openblas_libs(scipy)):
+    for lib in _OPENBLAS_LIBS:
         pairs = zip(_openblas_symbols("get_num_threads"), _openblas_symbols("set_num_threads"))
         for get_name, set_name in pairs:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
@@ -90,104 +91,38 @@ def _blas_thread_controls() -> list[tuple]:
 
 _BLAS_THREAD_CONTROLS = _blas_thread_controls()
 
-# OpenBLAS >= 0.3.28 hands each multi-threaded call's jobs to a threads
-# callback, if one is set, instead of to its own threads, which spin for
-# about 0.1 s after every call before they sleep. The callback must run job
-# i as `dojob(i, jobdata + i * jobdata_elsize, dojob_data)`, all of them at
-# once (the jobs of a matrix product wait for one another), and return when
-# every job is done.
-_DOJOB = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_void_p, ctypes.c_int)
-_THREADS_CALLBACK = ctypes.CFUNCTYPE(
-    None, ctypes.c_int, _DOJOB, ctypes.c_int, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_int
-)
 
+def _sleep_when_idle() -> None:
+    """Let each OpenBLAS's idle helper threads block at once, unless the user set a timeout.
 
-def _threads_callback_setter():
-    """NumPy's OpenBLAS `set_threads_callback_function`, or None where it has none."""
-    for lib in _openblas_libs(np):
-        for name in _openblas_symbols("set_threads_callback_function"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [_THREADS_CALLBACK], None
-                return setter
-    return None
-
-
-_SET_THREADS_CALLBACK = _threads_callback_setter()
-# What kept a callback from running every job: OpenBLAS takes its return as all done.
-_job_failures: list[BaseException] = []
-
-
-def _new_threads() -> None:
-    """Thread pools with no thread yet: at import, and in a forked child, which inherits none.
-
-    `_product_thread` runs every product that `_threaded` hands over, one at
-    a time. `_job_threads` runs jobs 1.. of a product; it grows to the most
-    jobs a product has had, and its idle threads block.
+    An idle helper spins for 2**OPENBLAS_THREAD_TIMEOUT cycles (2**28, about
+    0.1 s, by default) before it blocks, and a thread pool takes the timeout
+    that `openblas_read_env` last read when the pool starts. So this has the
+    least value, 4, read, and stops the pool with `blas_thread_shutdown_`,
+    OpenBLAS's own pre-fork routine; the next multi-threaded call or
+    `set_num_threads` restarts it with the same thread count. The variable
+    is removed again. A library without the two symbols is left alone.
     """
-    global _product_thread, _job_threads, _job_capacity
-    _product_thread = ThreadPoolExecutor(1, thread_name_prefix="qcfc-blas")
-    _job_threads = ThreadPoolExecutor(1, thread_name_prefix="qcfc-blas-job")
-    _job_capacity = 1
-
-
-_new_threads()
-if _SET_THREADS_CALLBACK is not None and hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_threads)
-
-
-@_THREADS_CALLBACK
-def _run_jobs(sync, dojob, numjobs, elsize, jobdata, dojob_data):
-    """The threads callback: job 0 on this thread, the others on `_job_threads`."""
-    global _job_threads, _job_capacity
-    started = []
+    libs = [
+        lib
+        for lib in _OPENBLAS_LIBS
+        if hasattr(lib, "openblas_read_env") and hasattr(lib, "blas_thread_shutdown_")
+    ]
+    if not libs or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+        return
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
     try:
-        if numjobs - 1 > _job_capacity:
-            _job_threads.shutdown(wait=False)
-            _job_threads = ThreadPoolExecutor(numjobs - 1, thread_name_prefix="qcfc-blas-job")
-            _job_capacity = numjobs - 1
-        for i in range(1, numjobs):
-            started.append(_job_threads.submit(dojob, i, jobdata + i * elsize, dojob_data))
-        dojob(0, jobdata, dojob_data)
-    except BaseException as e:
-        _job_failures.append(e)
-    wait(started)
-
-
-def _product_with_callback(err: dict, product, args: tuple):
-    """On `_product_thread`: `product(*args)` under `err`, its OpenBLAS jobs run by `_run_jobs`."""
-    _SET_THREADS_CALLBACK(_run_jobs)
-    try:
-        with np.errstate(**err):
-            result = product(*args)
+        for lib in libs:
+            read_env, shutdown = lib.openblas_read_env, lib.blas_thread_shutdown_
+            read_env.argtypes, read_env.restype = [], None
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            read_env()
+            shutdown()
     finally:
-        _SET_THREADS_CALLBACK(_THREADS_CALLBACK())
-    failures, _job_failures[:] = _job_failures[:], []
-    if failures:
-        raise failures[0]
-    return result
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 
-def _threaded(product, *args):
-    """`product(*args)`, a NumPy BLAS product on the caller's thread count, without the spin.
-
-    Same thread count, same job split, so the same bits; but the jobs run
-    on threads that block when idle. The product runs on `_product_thread`,
-    never here: an interrupt that lands in a ctypes callback on the main
-    thread is printed and dropped, and OpenBLAS takes the jobs as done. This
-    thread waits for the product even when interrupted, so no BLAS call of
-    its own meets the callback, which is process-wide. Without a callback
-    symbol (OpenBLAS before 0.3.28, or not a wheel's) this calls `product`.
-    """
-    if _SET_THREADS_CALLBACK is None:
-        return product(*args)
-    future = _product_thread.submit(_product_with_callback, np.geterr(), product, args)
-    try:
-        return future.result()
-    finally:
-        while not future.done():
-            with suppress(KeyboardInterrupt):
-                wait([future])
+_sleep_when_idle()
 
 
 @contextmanager
@@ -427,6 +362,8 @@ def max_abs_correlation(E: SignalMatrix, X: DesignMatrix) -> float:
         raise DegenerateInputError(
             "all columns are constant on one side; no correlation is defined"
         )
+    with _one_blas_thread():
+        products = e_centered.T @ x_centered
     # One square root of the product keeps an exact column match at exactly 1.
-    corr = _threaded(np.matmul, e_centered.T, x_centered) / np.sqrt(np.multiply.outer(e_ss, x_ss))
+    corr = products / np.sqrt(np.multiply.outer(e_ss, x_ss))
     return float(min(1.0, float(np.abs(corr).max())))

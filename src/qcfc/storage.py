@@ -19,8 +19,8 @@ JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
 reruns are byte-identical on the same CPU with the same BLAS thread count.
 Cohort and corrected files do not depend on that count (generation and the
 pipelines run on one OpenBLAS thread); QC reports and `comparison.csv`
-still can, since `fc_matrix`'s gram and `pearson`'s dot products keep the
-caller's count (the QC-FC products run on one thread). Every
+still can, since `fc_matrix`'s gram keeps the caller's count (every other
+product of QC scoring runs on one thread). Every
 file is read and written as UTF-8; a byte-order mark that starts a file is
 not part of its text. A file that cannot be opened, holds an
 invalid UTF-8 byte, or that the CSV reader or JSON decoder refuses (a field

@@ -1,21 +1,25 @@
-"""The cohort generator, the pipelines and QC-FC scoring run on one OpenBLAS thread.
+"""Every product but `fc_matrix`'s gram runs on one OpenBLAS thread.
 
-Their outputs must not depend on the caller's thread count, and the
-caller's count must be back in place afterwards, however the call ends.
+The cohort generator, the pipelines, QC-FC scoring, `pearson` and
+`max_abs_correlation` must give outputs that do not depend on the caller's
+thread count, and the caller's count must be back in place afterwards,
+however the call ends.
 
-`fc_matrix`'s gram, `pearson`'s dot products and `max_abs_correlation`'s
-product run on the caller's count through `regression._threaded`, whose job
-threads block instead of spinning when idle. Their bits, their
-floating-point errors and the main thread's interrupts must be what they
-are without it.
+Importing `qcfc.regression` sets each wheel-bundled OpenBLAS's idle timeout
+to its least, unless the user set `OPENBLAS_THREAD_TIMEOUT`, and leaves the
+environment as it was. So no helper thread spins after a product, and
+products still raise their floating-point errors, let the main thread's
+interrupts through and run in a forked child.
 """
 
 import _thread
+import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -41,9 +45,15 @@ needs_control = pytest.mark.skipif(
     not regression._BLAS_THREAD_CONTROLS,
     reason="no OpenBLAS thread control found under numpy.libs or scipy.libs",
 )
-needs_callback = pytest.mark.skipif(
-    regression._SET_THREADS_CALLBACK is None,
-    reason="no OpenBLAS threads callback (0.3.28 or later) found under numpy.libs",
+# What `regression._sleep_when_idle` needs to set NumPy's OpenBLAS's idle timeout.
+needs_idle_timeout = pytest.mark.skipif(
+    not any(
+        hasattr(lib, "openblas_read_env") and hasattr(lib, "blas_thread_shutdown_")
+        for lib in regression._openblas_libs(np)
+    )
+    or "OPENBLAS_THREAD_TIMEOUT" in os.environ,
+    reason="NumPy's OpenBLAS has no openblas_read_env and blas_thread_shutdown_,"
+    " or OPENBLAS_THREAD_TIMEOUT is set",
 )
 
 
@@ -148,6 +158,20 @@ def test_nested_use_restores_each_level():
         assert thread_counts() == [2] * n_controls
 
 
+@needs_control
+def test_correlations_do_not_depend_on_callers_thread_count():
+    # 55,278 values: more than the 10,000 up to which OpenBLAS's dot product runs
+    # on one thread, so on the caller's two threads `pearson` would round differently.
+    products = paper_products()
+    del products["fc_matrix"]  # the one product on the caller's count
+    results = {}
+    for count in (1, 2, 4):
+        with caller_threads(count):
+            results[count] = {name: product() for name, product in products.items()}
+            assert thread_counts() == [count] * len(regression._BLAS_THREAD_CONTROLS)
+    assert results[2] == results[1] and results[4] == results[1]
+
+
 def test_without_thread_control_outputs_are_unchanged(monkeypatch):
     expected = outputs(SMALL_CONFIG)
     monkeypatch.setattr(regression, "_BLAS_THREAD_CONTROLS", [])
@@ -155,34 +179,20 @@ def test_without_thread_control_outputs_are_unchanged(monkeypatch):
 
 
 def paper_products() -> dict:
-    """The products `_threaded` runs, at paper scale: 333 ROIs x 1200 TRs, 55,278 edges."""
+    """Products at paper scale: 333 ROIs x 1200 TRs, 30 components, 55,278 edges."""
     rng = np.random.default_rng(5)
     ts = SignalMatrix(rng.standard_normal((1200, 333)))
     components = DesignMatrix(rng.standard_normal((1200, 30)), tuple(f"c{i}" for i in range(30)))
     x, y = rng.standard_normal((2, 333 * 332 // 2))
     return {
         "fc_matrix": lambda: fc_matrix(ts).values.tobytes(),
+        "pearson": lambda: pearson(x, y),
         "spearman": lambda: spearman(x, y),
         "max_abs_correlation": lambda: max_abs_correlation(ts, components),
     }
 
 
-@pytest.fixture
-def callback_threads(monkeypatch) -> list:
-    """Record the thread each threads callback runs on."""
-    seen = []
-    run_jobs = regression._run_jobs
-
-    @regression._THREADS_CALLBACK
-    def recording(*args):
-        seen.append(threading.current_thread())
-        run_jobs(*args)
-
-    monkeypatch.setattr(regression, "_run_jobs", recording)
-    return seen
-
-
-@needs_callback
+@needs_idle_timeout
 def test_no_blas_thread_spins_after_a_product():
     products = paper_products()
     idle_cpu = {}
@@ -195,32 +205,39 @@ def test_no_blas_thread_spins_after_a_product():
     assert {name: cpu < 0.05 for name, cpu in idle_cpu.items()} == dict.fromkeys(products, True)
 
 
-@needs_callback
-@pytest.mark.parametrize("threads", [2, 4])
-def test_products_keep_their_bits_and_never_call_back_on_the_main_thread(
-    monkeypatch, callback_threads, threads
-):
-    products = paper_products()
-    with caller_threads(threads):
-        through_callback = {name: product() for name, product in products.items()}
-        assert callback_threads
-        assert threading.main_thread() not in callback_threads
-        monkeypatch.setattr(regression, "_SET_THREADS_CALLBACK", None)
-        assert {name: product() for name, product in products.items()} == through_callback
+# Prints, after `import qcfc.regression`, the idle timeout of each OpenBLAS it can set,
+# and whether the environment, as Python and as C see it, is what it was before.
+_TIMEOUTS_AFTER_IMPORT = """
+import ctypes, json, os
+import numpy, scipy
+getenv = ctypes.CDLL(None).getenv
+getenv.argtypes, getenv.restype = [ctypes.c_char_p], ctypes.c_char_p
+before = dict(os.environ), getenv(b"OPENBLAS_THREAD_TIMEOUT")
+import qcfc.regression as regression
+libs = [
+    lib for lib in regression._OPENBLAS_LIBS
+    if hasattr(lib, "openblas_read_env") and hasattr(lib, "blas_thread_shutdown_")
+]
+print(json.dumps({
+    "timeouts": [lib.openblas_thread_timeout() for lib in libs],
+    "environment_kept": (dict(os.environ), getenv(b"OPENBLAS_THREAD_TIMEOUT")) == before,
+}))
+"""
 
 
-@needs_callback
-def test_a_job_that_cannot_start_fails_the_product(monkeypatch):
-    ts = SignalMatrix(np.random.default_rng(8).standard_normal((1200, 333)))
-    stopped = ThreadPoolExecutor(1)
-    stopped.shutdown()
-    with caller_threads(2):
-        expected = fc_matrix(ts).values
-        with monkeypatch.context() as patch:
-            patch.setattr(regression, "_job_threads", stopped)
-            with pytest.raises(RuntimeError, match="cannot schedule new futures"):
-                fc_matrix(ts)
-        assert np.array_equal(fc_matrix(ts).values, expected)
+@needs_idle_timeout
+@pytest.mark.parametrize("users_timeout, expected", [(None, 4), ("30", 30)], ids=["unset", "30"])
+def test_import_sets_the_least_idle_timeout_unless_the_user_set_one(users_timeout, expected):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    if users_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = users_timeout
+    run = subprocess.run(
+        [sys.executable, "-c", _TIMEOUTS_AFTER_IMPORT],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    seen = json.loads(run.stdout)
+    assert seen["timeouts"] and set(seen["timeouts"]) == {expected}
+    assert seen["environment_kept"]
 
 
 def sigint_to_main_thread() -> None:
@@ -228,7 +245,7 @@ def sigint_to_main_thread() -> None:
     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
 
-@needs_callback
+@needs_idle_timeout
 @pytest.mark.parametrize(
     "interrupt",
     [
@@ -240,7 +257,7 @@ def sigint_to_main_thread() -> None:
     ],
     ids=["interrupt_main", "sigint"],
 )
-def test_an_interrupt_during_a_product_is_raised(capfd, callback_threads, interrupt):
+def test_an_interrupt_during_a_product_is_raised(capfd, interrupt):
     values = np.random.default_rng(6).standard_normal((1200, 333))
     ts = SignalMatrix(values)
     raised = 0
@@ -254,25 +271,24 @@ def test_an_interrupt_during_a_product_is_raised(capfd, callback_threads, interr
                     fc_matrix(ts)
             except KeyboardInterrupt:
                 raised += 1
-                # Had the interrupted product not finished, this would meet its callback.
+                # OpenBLAS still runs a product on the caller's threads.
                 values.T @ values
             timer.join()
     assert raised == 10
-    assert threading.main_thread() not in callback_threads
     assert capfd.readouterr().err == ""
 
 
-@needs_callback
+@needs_idle_timeout
 @pytest.mark.filterwarnings("error")
 def test_overflowing_sums_of_squares_still_refused():
-    # Long enough that OpenBLAS splits each dot product into jobs.
+    # Long enough that OpenBLAS would split each dot product into jobs on two threads.
     x = np.resize([1e200, -1e200], 55_278)
     with caller_threads(2):
         with pytest.raises(DataIntegrityError, match="a sum of squares overflows"):
             pearson(x, x[::-1])
 
 
-@needs_callback
+@needs_idle_timeout
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_runs_products_on_threads_of_its_own():
@@ -280,7 +296,7 @@ def test_a_forked_child_runs_products_on_threads_of_its_own():
     with caller_threads(2):
         expected = fc_matrix(ts).values
         pid = os.fork()
-        if pid == 0:  # the child inherits the pools, but not their threads
+        if pid == 0:  # the child inherits no OpenBLAS thread: OpenBLAS starts its own
             same = False
             try:
                 signal.alarm(60)

@@ -424,17 +424,8 @@ def test_raw_report_scores_a_timeseries_whose_sums_overflow_as_its_scaled_copy(
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize(
-    "n_subjects, n_timepoints, n_rois", [(30, 40, 60), (20, 30, 120)], ids=["60-rois", "120-rois"]
-)
-def test_scoring_peaks_below_three_subjects_by_edges_arrays(
-    tmp_path, capsys, n_subjects, n_timepoints, n_rois
-):
-    """Scoring holds one subjects x edges array, about twice its size at peak.
-
-    The bound leaves room above that and fails a scorer that keeps each
-    subject's full connectivity matrix until QC-FC stacks the edges (over 5x).
-    """
+def scoring_peak(tmp_path, n_subjects: int, n_timepoints: int, n_rois: int) -> float:
+    """tracemalloc's peak over `score_cohort` on random subjects, in subjects x edges arrays."""
     import scipy.special  # noqa: F401  (a p-value loads it on first use; not scoring's memory)
 
     rng = np.random.default_rng(31)
@@ -449,12 +440,40 @@ def test_scoring_peaks_below_three_subjects_by_edges_arrays(
     tracemalloc.start()
     try:
         lengths = edge_lengths(parcellation)
-        cli.score_cohort("raw", lengths, subjects, tmp_path / "qc.json", cli.DEFAULT_BINS)
+        report = tmp_path / "qc.json"
+        cli.score_cohort("raw", lengths, subjects, n_subjects, report, cli.DEFAULT_BINS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert report.is_file()
+    return peak / edges_bytes
+
+
+@pytest.mark.parametrize(
+    "n_subjects, n_timepoints, n_rois", [(30, 40, 60), (20, 30, 120)], ids=["60-rois", "120-rois"]
+)
+def test_scoring_peaks_below_three_subjects_by_edges_arrays(
+    tmp_path, capsys, n_subjects, n_timepoints, n_rois
+):
+    """Scoring holds one subjects x edges array, and a copy of up to 4,096 of its edges.
+
+    Under 4,096 edges that is about twice the array. The bound leaves room
+    above that and fails a scorer that keeps each subject's full
+    connectivity matrix until QC-FC stacks the edges (over 5x).
+    """
+    peak = scoring_peak(tmp_path, n_subjects, n_timepoints, n_rois)
     assert "pipeline: raw" in capsys.readouterr().out
-    assert peak < 3 * edges_bytes, f"peak {peak / edges_bytes:.2f} x the edges array"
+    assert peak < 3, f"peak {peak:.2f} x the edges array"
+
+
+def test_scoring_at_333_rois_peaks_near_one_subjects_by_edges_array(tmp_path):
+    """Each subject's edges go straight into its row of the one array.
+
+    At 55,278 edges a block of 4,096 is a small part of it. A scorer that
+    collects the rows and then stacks them peaks at twice the array.
+    """
+    peak = scoring_peak(tmp_path, n_subjects=60, n_timepoints=30, n_rois=333)
+    assert peak < 1.5, f"peak {peak:.2f} x the edges array"
 
 
 def test_a_byte_order_mark_is_not_part_of_the_text(cohort_dir, tmp_path, capsys):
@@ -495,9 +514,10 @@ def test_scoring_computes_one_p_value_that_of_distance_dependence(monkeypatch, t
         for k in range(8)
     ]
     lengths = edge_lengths(Parcellation(labels, rng.normal(size=(12, 3))))
-    cli.score_cohort("raw", lengths, subjects, tmp_path / "qc.json", cli.DEFAULT_BINS)
+    path = tmp_path / "qc.json"
+    cli.score_cohort("raw", lengths, subjects, len(subjects), path, cli.DEFAULT_BINS)
     capsys.readouterr()
-    report = json.loads((tmp_path / "qc.json").read_text())
+    report = json.loads(path.read_text())
     assert calls == [([report["dist_dependence_rho"]], report["n_edges"])]
 
 
