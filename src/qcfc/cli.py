@@ -11,7 +11,7 @@ Four subcommands cover the full chain:
 process (`scripts/run_full_comparison.py`), computing each subject's mean FD
 once. Scoring takes each subject as (subject_id, mean FD, timeseries); `qc`
 checks a timeseries' ROI labels and motion rows as it loads them. Scoring
-keeps only each subject's edges, one connectivity matrix at a time, in its
+computes only each subject's edges, no r x r connectivity matrix, into its
 row of one subjects x edges array, and scores that in place, copying at
 most one block of its columns at a time.
 
@@ -662,9 +662,9 @@ def score_cohort(
 
     `subjects` yields `n_subjects` subjects, each with its mean FD and with a
     timeseries that already carries the ROI labels of the parcellation with
-    these `edge_lengths`. Only the subject's edges outlive its connectivity
-    matrix: they fill its row of one subjects x edges array, and scoring
-    that array (`_qcfc_edges`) adds a copy of at most one block of edges.
+    these `edge_lengths`. `fc_matrix` computes only the subject's edges,
+    which fill its row of one subjects x edges array, and scoring that
+    array (`_qcfc_edges`) adds a copy of at most one block of edges.
     """
     edges = np.empty((n_subjects, lengths.size))
     ids, mfds = [], []

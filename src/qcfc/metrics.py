@@ -3,11 +3,13 @@
 Framewise displacement condenses the 6-parameter motion trace to one
 scalar per timepoint (rotations converted to mm on a 50 mm sphere) and its
 mean summarizes a subject. Connectivity is plain Pearson correlation
-between ROI columns. The quality metrics correlate, across subjects, each
-edge's connectivity with mean framewise displacement (QC-FC), then rank-
-correlate those per-edge values with inter-ROI Euclidean distance
-(distance dependence). Significance uses the t transform with m - 2
-degrees of freedom for both Pearson and Spearman; no permutation tests.
+between ROI columns, computed and kept for the r(r-1)/2 edges only: no r x r
+matrix is built beyond the gram, unless `FcMatrix.values` is read. The
+quality metrics correlate, across subjects, each edge's connectivity with
+mean framewise displacement (QC-FC), then rank-correlate those per-edge
+values with inter-ROI Euclidean distance (distance dependence).
+Significance uses the t transform with m - 2 degrees of freedom for both
+Pearson and Spearman; no permutation tests.
 A `QcFcReport` stores only each edge's r: its per-edge p-values are
 derived when read, so scoring a cohort computes none.
 
@@ -76,38 +78,65 @@ def default_roi_labels(r: int) -> tuple[str, ...]:
     return tuple(f"roi_{i:0{width}d}" for i in range(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FcMatrix:
-    """Square connectivity matrix with labeled ROIs.
+    """Connectivity with labeled ROIs, kept as its r(r-1)/2 edges in `_edge_order`.
 
-    Diagonal is exactly 1, symmetry holds within 1e-12, and off-diagonal
-    entries sit in [-1, 1]; construction rejects anything else.
+    `FcMatrix(values, roi_labels)` takes the r x r square and refuses it unless
+    the diagonal is exactly 1, symmetry holds within 1e-12 and entries sit in
+    [-1, 1]. `values` builds a read-only square on each read: unit diagonal and
+    the upper triangle mirrored, whatever the input's lower triangle held.
     """
 
-    values: np.ndarray
+    _edges: np.ndarray
     roi_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        arr = _validated_matrix(self.values, "connectivity matrix", min_rows=0)
+    def __new__(cls, values, roi_labels):
+        arr = _validated_matrix(values, "connectivity matrix", min_rows=0)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"connectivity matrix must be square, got shape {arr.shape}")
-        labels = _validated_labels(self.roi_labels, arr.shape[0], "connectivity matrix")
+        labels = _validated_labels(roi_labels, arr.shape[0], "connectivity matrix")
         if np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
             raise DataIntegrityError("connectivity matrix is not symmetric within 1e-12")
         if not np.all(np.diag(arr) == 1.0):
             raise DataIntegrityError("connectivity diagonal must be exactly 1")
         if arr.min(initial=1.0) < -1.0 or arr.max(initial=-1.0) > 1.0:
             raise DataIntegrityError("connectivity entries must lie in [-1, 1]")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "roi_labels", labels)
+        return cls._from_edges(arr[_edge_order(len(labels))], labels)
+
+    @classmethod
+    def _from_edges(cls, edges: np.ndarray, labels: tuple[str, ...]) -> FcMatrix:
+        """The one path that stores edges, an owned float vector, and keeps them read-only."""
+        if not np.all(np.isfinite(edges)):
+            raise DataIntegrityError("connectivity matrix contains NaN or infinite entries")
+        if edges.min(initial=1.0) < -1.0 or edges.max(initial=-1.0) > 1.0:
+            raise DataIntegrityError("connectivity entries must lie in [-1, 1]")
+        edges.setflags(write=False)
+        fc = object.__new__(cls)
+        object.__setattr__(fc, "_edges", edges)
+        object.__setattr__(fc, "roi_labels", labels)
+        return fc
+
+    def __reduce__(self):
+        return FcMatrix._from_edges, (self._edges, self.roi_labels)
 
     @property
     def n_rois(self) -> int:
-        return self.values.shape[0]
+        return len(self.roi_labels)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The r x r square, built read-only from the edges on each read."""
+        iu, ju = _edge_order(self.n_rois)
+        square = np.eye(self.n_rois)
+        square[iu, ju] = self._edges
+        square[ju, iu] = self._edges
+        square.setflags(write=False)
+        return square
 
     def upper_triangle(self) -> np.ndarray:
-        """Edge values in row-major upper-triangle order (`_edge_order`), length r(r-1)/2."""
-        return self.values[_edge_order(self.n_rois)]
+        """The stored, read-only edge vector in `_edge_order`, length r(r-1)/2."""
+        return self._edges
 
 
 @dataclass(frozen=True)
@@ -291,15 +320,15 @@ def spearman(x, y) -> tuple[float, float]:
 
 
 def fc_matrix(ts: SignalMatrix) -> FcMatrix:
-    """Pairwise Pearson correlation of ROI columns.
+    """Pairwise Pearson correlation of ROI columns, for the r(r-1)/2 edges only.
 
-    Diagonal is set to exactly 1 and the result is symmetrized; off-
-    diagonal rounding is clipped into [-1, 1]. A constant ROI column has
-    no defined correlation and is reported by name. Each column is first
-    scaled by the power of two that brings its max|x| into [0.5, 1), which
-    is exact: so r keeps its bits under any power-of-two scale of a column,
-    and no product overflows or underflows, however large or small the
-    values.
+    Edge (i, j) averages the r of gram[i, j] and of gram[j, i], clipped into
+    [-1, 1]: the bits of the symmetrised square's upper triangle, with no
+    r x r array built beyond the gram. A constant ROI column has no defined
+    correlation and is reported by name. Each column is first scaled by the
+    power of two that brings its max|x| into [0.5, 1), which is exact: so r
+    keeps its bits under any power-of-two scale of a column, and no product
+    overflows or underflows, however large or small the values.
     """
     values = ts.values
     n, r = values.shape
@@ -315,10 +344,13 @@ def fc_matrix(ts: SignalMatrix) -> FcMatrix:
     dead = np.flatnonzero(~_varies(ss, values, np.ldexp(max_abs, -exponent)))
     if dead.size:
         raise DegenerateInputError(f"ROI column {labels[dead[0]]!r} is constant")
-    corr = gram / np.sqrt(np.multiply.outer(ss, ss))
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return FcMatrix(corr, labels)
+    iu, ju = _edge_order(r)
+    # ss[i] * ss[j] and ss[j] * ss[i] round alike, so one denominator serves both triangles.
+    denom = np.sqrt(ss[iu] * ss[ju])
+    edges = gram[iu, ju] / denom
+    edges += gram[ju, iu] / denom
+    edges /= 2.0
+    return FcMatrix._from_edges(np.clip(edges, -1.0, 1.0, out=edges), labels)
 
 
 def edge_lengths(p: Parcellation) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Everything here deliberately takes a different route than the package:
 residuals via normal equations with an SVD pseudo-inverse, correlation from
-the definitional covariance formula, p-values by numerically integrating a
-hand-written t density, ranks by explicit tie-group averaging, the
-edge-level metrics as plain loops over edges, and matrix CSV text cell by
-cell from a written-out quoting rule.
+the definitional covariance formula, connectivity edges through the full
+r x r square, p-values by numerically integrating a hand-written t density,
+ranks by explicit tie-group averaging, the edge-level metrics as plain loops
+over edges, and matrix CSV text cell by cell from a written-out quoting rule.
 """
 
 import math
@@ -118,6 +118,22 @@ def oracle_report_summary(edge_r):
     defined = [abs(r) for r in edge_r if not math.isnan(r)]
     median_abs = oracle_median(defined) if defined else float("nan")
     return median_abs, len(edge_r) - len(defined)
+
+
+def oracle_fc_edges(values):
+    """`fc_matrix`'s edges through the whole square: gram / sqrt(outer(ss, ss)),
+    symmetrised, clipped, unit diagonal, then its upper triangle. The column
+    scaling and the gram are the package's, so the two agree bit for bit."""
+    values = np.asarray(values, dtype=float)
+    exponent = np.frexp(np.max(np.abs(values), axis=0))[1]
+    centered = np.ldexp(values, -exponent)
+    centered -= centered.mean(axis=0, keepdims=True)
+    gram = centered.T @ centered
+    ss = np.diag(gram).copy()
+    corr = gram / np.sqrt(np.multiply.outer(ss, ss))
+    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr[np.triu_indices(corr.shape[0], k=1)]
 
 
 def oracle_edge_lengths(centroids):

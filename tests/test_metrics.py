@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -32,11 +33,13 @@ from qcfc import (
 )
 import qcfc.metrics as metrics
 from qcfc.metrics import QcFcReport, _average_ranks, _edge_order, _qcfc_edges
+from qcfc.phantom import _truth_structure
 from qcfc.regression import _max_abs, _varies, max_abs_correlation
 
 from .oracles import (
     oracle_distance_dependence,
     oracle_edge_lengths,
+    oracle_fc_edges,
     oracle_fd,
     oracle_pearson,
     oracle_qcfc,
@@ -298,6 +301,71 @@ class TestFcMatrix:
     def test_type_rejects_malformed_values(self, values, error, match):
         with pytest.raises(error, match=match):
             FcMatrix(values, ("a", "b", "c"))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(3, 40),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["random", "collinear", "anti-collinear", "power-of-two scales"]),
+    )
+    @example(3, 2, 0, "random")
+    @example(3, 2, 1, "collinear")
+    @example(5, 2, 2, "anti-collinear")
+    @example(40, 12, 3, "power-of-two scales")
+    def test_edges_have_the_bits_of_the_square_formula(self, n, r, seed, kind):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, r))
+        if kind == "power-of-two scales":
+            values = np.ldexp(values, rng.integers(-300, 300, size=r))
+        elif kind != "random":
+            # Columns 1, 3, 5, ... repeat column 0 at a power-of-two scale: r is exactly +/-1.
+            sign = 1.0 if kind == "collinear" else -1.0
+            values[:, 1::2] = sign * np.ldexp(values[:, :1], rng.integers(-8, 8, size=r // 2))
+        edges = fc_matrix(SignalMatrix(values)).upper_triangle()
+        assert edges.tobytes() == oracle_fc_edges(values).tobytes()
+        if kind in ("collinear", "anti-collinear"):
+            assert edges[0] == (1.0 if kind == "collinear" else -1.0)
+
+    def test_a_list_of_results_holds_only_their_edges(self):
+        values = np.random.default_rng(13).standard_normal((1200, 333))
+        ts = SignalMatrix(values, metrics.default_roi_labels(333))
+        fc_matrix(ts)  # creates what a first call does once
+        squares = 40 * 333 * 333 * 8
+        tracemalloc.start()
+        try:
+            fcs = [fc_matrix(ts) for _ in range(40)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.55 * squares, f"{held / squares:.2f} x the bytes of 40 squares"
+        edges = fcs[0].upper_triangle()
+        assert np.shares_memory(edges, fcs[0].upper_triangle()) and not edges.flags.writeable
+
+    def test_values_is_a_read_only_square(self):
+        fc = fc_matrix(SignalMatrix(np.random.default_rng(14).standard_normal((20, 5))))
+        assert fc.values.shape == (5, 5) and not fc.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fc.values[0, 1] = 0.5
+
+    def test_values_has_the_bits_of_a_symmetric_input(self):
+        sigma, _ = _truth_structure(np.random.default_rng(15), 40)
+        assert FcMatrix(sigma, range(40)).values.tobytes() == sigma.tobytes()
+
+    def test_values_mirrors_the_upper_triangle_of_a_nearly_symmetric_input(self):
+        upper = np.array([[1.0, 0.25, -0.5], [0.0, 1.0, 0.75], [0.0, 0.0, 1.0]])
+        mirrored = upper + np.triu(upper, k=1).T
+        nearly = mirrored + np.tril(np.full((3, 3), 1e-13), k=-1)
+        fc = FcMatrix(nearly, ("a", "b", "c"))
+        assert fc.values.tobytes() == mirrored.tobytes()
+        assert np.array_equal(fc.upper_triangle(), [0.25, -0.5, 0.75])
+
+    def test_a_pickle_round_trip_keeps_the_edges_and_labels(self):
+        fc = fc_matrix(SignalMatrix(np.random.default_rng(16).standard_normal((20, 6)), "abcdef"))
+        back = pickle.loads(pickle.dumps(fc))
+        assert back.roi_labels == ("a", "b", "c", "d", "e", "f")
+        assert back.upper_triangle().tobytes() == fc.upper_triangle().tobytes()
+        assert not back.upper_triangle().flags.writeable
 
 
 class TestEdgeLengths:
