@@ -282,8 +282,9 @@ def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int
     return tuple((float(c), int(k)) for c, k in zip(centers, counts))
 
 
-# A writer process takes about 0.45 s of CPU to start (a fresh interpreter
-# importing NumPy and qcfc) and formats about a million floats a second.
+# A writer process takes about 0.25 s of CPU to start (a fresh interpreter
+# importing NumPy and qcfc: 0.19-0.28 s on 2 CPUs, Python 3.11, NumPy 2.4) and
+# formats about a million floats a second.
 # Measured on 2 CPUs: two writers break even at about 0.6 million timeseries
 # values and save a fifth of `phantom`'s time at 1.2 million, while one
 # writer makes `phantom` slower (the main process only waits for it) and on
@@ -294,11 +295,20 @@ def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int
 # reference scale on 2 CPUs), so it keeps at most two or three busy.
 _VALUES_PER_WRITER = 500_000
 _MAX_WRITERS = 4
-# What a writer process runs. It ignores an interrupt: the main process decides what stops.
-_SERVE_CODE = (
-    "import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-    "import qcfc.cli; qcfc.cli._serve()"
-)
+# What a writer process runs. First it lowers its own priority by 10, where the
+# platform lets it: the main process's numerics (and the OpenBLAS helper thread
+# a product waits for) then preempt a writer at once instead of waiting for a
+# time slice, while a writer still gets every cycle they leave idle. It ignores
+# an interrupt: the main process decides what stops.
+_SERVE_CODE = """\
+import os
+try:
+    os.nice(10)
+except (AttributeError, OSError):
+    pass
+import signal; signal.signal(signal.SIGINT, signal.SIG_IGN)
+import qcfc.cli; qcfc.cli._serve()
+"""
 
 
 def _writer_count(n_values: int, cpus: int) -> int:
@@ -367,7 +377,8 @@ class _Writer:
     cancels the tasks not yet started, lets the running ones finish, closes
     the writers' pipes and waits for them to exit. Writers start with
     `OPENBLAS_NUM_THREADS=1`: they do no BLAS work at all, so no OpenBLAS
-    thread pool need start (and spin) in them. `stage` and `publish` swap
+    thread pool need start (and spin) in them. They run at a lower
+    priority than this process (`_SERVE_CODE`). `stage` and `publish` swap
     whole output directories in; leaving the block removes each staged one
     not published, once no task can write into it, and an OSError naming a
     file in one then names the user's path instead.

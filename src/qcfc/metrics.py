@@ -72,13 +72,14 @@ def _edge_order(r: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+@lru_cache(maxsize=8)
 def default_roi_labels(r: int) -> tuple[str, ...]:
-    """Zero-padded ROI names used when the caller supplies none."""
+    """Zero-padded ROI names used when the caller supplies none; one tuple per ROI count."""
     width = max(3, len(str(max(r - 1, 0))))
     return tuple(f"roi_{i:0{width}d}" for i in range(r))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FcMatrix:
     """Connectivity with labeled ROIs, kept as its r(r-1)/2 edges in `_edge_order`.
 
@@ -86,6 +87,7 @@ class FcMatrix:
     the diagonal is exactly 1, symmetry holds within 1e-12 and entries sit in
     [-1, 1]. `values` builds a read-only square on each read: unit diagonal and
     the upper triangle mirrored, whatever the input's lower triangle held.
+    Equality is identity.
     """
 
     _edges: np.ndarray
@@ -139,9 +141,9 @@ class FcMatrix:
         return self._edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Parcellation:
-    """ROI labels plus centroid coordinates in mm."""
+    """ROI labels plus centroid coordinates in mm. Equality is identity."""
 
     roi_labels: tuple[str, ...]
     centroids: np.ndarray
@@ -161,7 +163,7 @@ class Parcellation:
         return len(self.roi_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QcFcReport:
     """Per-edge QC-FC values plus the summary statistics they fix.
 
@@ -169,6 +171,7 @@ class QcFcReport:
     construction, which derives from it `median_abs_qcfc` (NaN if no edge is
     defined) and `undefined_edge_count`; `edge_pvalues` is derived when read.
     Distance dependence is computed by `distance_dependence`, not stored.
+    Equality is identity.
     """
 
     edge_qcfc: np.ndarray
@@ -208,24 +211,51 @@ class QcFcReport:
 _HEAD_RADIUS_MM = 50.0
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(a + b) and its rounding error: the two add exactly to a + b, barring overflow (Knuth)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _fsum3(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum of its 3 columns, and where that sum is `math.fsum`'s.
+
+    a + b + c is s2 + e1 + e2 exactly, so where e1 + e2 adds with no error,
+    fl(s2 + (e1 + e2)) rounds the exact sum once, as `math.fsum` does. Rows
+    where it does not, or where any term or the sum is not finite, are not
+    marked.
+    """
+    s1, e1 = _two_sum(terms[:, 0], terms[:, 1])
+    s2, e2 = _two_sum(s1, terms[:, 2])
+    e, e_error = _two_sum(e1, e2)
+    total = s2 + e
+    return total, (e_error == 0.0) & np.isfinite(total)
+
+
 def framewise_displacement(motion: HeadMotion) -> np.ndarray:
     """Per-timepoint displacement: sum of absolute backward differences.
 
     Translations contribute in mm directly; rotations (radians) are
     converted to arc length on a sphere of fixed radius 50 mm. The first
     frame has no predecessor and gets 0 by convention. Per-frame sums are
-    correctly rounded (math.fsum) so hand-checkable decimal examples come
-    out exact. A frame whose displacement overflows float64 is inf, which
-    `mean_fd` refuses.
+    correctly rounded (those of math.fsum) so hand-checkable decimal
+    examples come out exact: `_fsum3` gives them for whole columns, and a
+    frame it cannot vouch for is summed by math.fsum. A frame whose
+    displacement overflows float64 is inf, which `mean_fd` refuses.
     """
-    with np.errstate(over="ignore"):
-        diffs = np.abs(np.diff(motion.values, axis=0))
     fd = np.zeros(motion.n_timepoints)
-    for t, row in enumerate(diffs, start=1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.abs(np.diff(motion.values, axis=0))
+        trans, trans_exact = _fsum3(diffs[:, :3])
+        rot, rot_exact = _fsum3(diffs[:, 3:])
+        fd[1:] = trans + _HEAD_RADIUS_MM * rot
+    for t in np.flatnonzero(~(trans_exact & rot_exact)):
+        row = diffs[t]
         try:
-            fd[t] = math.fsum(row[:3]) + _HEAD_RADIUS_MM * math.fsum(row[3:])
+            fd[t + 1] = math.fsum(row[:3]) + _HEAD_RADIUS_MM * math.fsum(row[3:])
         except OverflowError:  # finite terms whose exact sum is beyond float64
-            fd[t] = math.inf
+            fd[t + 1] = math.inf
     return fd
 
 

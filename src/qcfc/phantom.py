@@ -38,6 +38,7 @@ from .regression import (
     DesignMatrix,
     SignalMatrix,
     _one_blas_thread,
+    _owned,
     demean_columns,
     residualize_columns,
 )
@@ -125,13 +126,14 @@ class PhantomConfig(Record):
         return record_from_json(cls, raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhantomCohort:
     """Generated bundles plus the parcellation and ground truth they were built from.
 
     Nothing else is kept: a subject's injected artifact is its timeseries at
     artifact_gain 1 minus its timeseries at gain 0, and its motion amplitude
     is the population std of any translation column (see the module docstring).
+    Equality is identity.
     """
 
     bundles: tuple[SubjectBundle, ...]
@@ -272,7 +274,9 @@ def generate_cohort(cfg: PhantomConfig) -> PhantomCohort:
             physio_leak = physio_values @ physio_loadings.T
 
             # Another grouping of this sum rounds differently and changes `ts`.
-            ts = SignalMatrix(neural + (artifact + physio_leak), roi_labels)
+            ts = _owned(
+                SignalMatrix, neural + (artifact + physio_leak), roi_labels, "signal matrix"
+            )
 
             sid = f"sub-{j:03d}"
             with prefixed(f"config: subject {sid!r}"):

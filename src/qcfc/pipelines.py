@@ -20,6 +20,7 @@ from .regression import (
     DesignMatrix,
     SignalMatrix,
     _one_blas_thread,
+    _owned,
     _validated_matrix,
     concat_designs,
     ols_residualize,
@@ -49,9 +50,9 @@ HMP_PARAM_LABELS = ("dx_mm", "dy_mm", "dz_mm", "rx_rad", "ry_rad", "rz_rad")
 MAX_ROTATION_RAD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeadMotion:
-    """Rigid-body realignment trace: n_timepoints rows by 6 parameters."""
+    """Rigid-body realignment trace: n_timepoints rows by 6 parameters. Equality is identity."""
 
     values: np.ndarray
 
@@ -106,12 +107,13 @@ class PipelineSpec:
             raise ValidationError(f"kind must be a PipelineKind, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubjectBundle:
     """Everything one subject contributes: timeseries plus nuisance inputs.
 
     The motion-component block may be empty (zero columns) for a subject
     where none were flagged; the physio block is always the two mask means.
+    Equality is identity.
     """
 
     subject_id: str
@@ -136,6 +138,14 @@ class SubjectBundle:
             )
 
 
+_HMP24_LABELS = (
+    HMP_PARAM_LABELS
+    + tuple(f"{p}_deriv" for p in HMP_PARAM_LABELS)
+    + tuple(f"{p}_sq" for p in HMP_PARAM_LABELS)
+    + tuple(f"{p}_deriv_sq" for p in HMP_PARAM_LABELS)
+)
+
+
 def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
     """Expand 6 motion parameters to the standard 24-regressor block.
 
@@ -153,13 +163,7 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
         raise DataIntegrityError(
             "head motion is too large: its derivatives or squares overflow float64"
         )
-    labels = (
-        tuple(HMP_PARAM_LABELS)
-        + tuple(f"{p}_deriv" for p in HMP_PARAM_LABELS)
-        + tuple(f"{p}_sq" for p in HMP_PARAM_LABELS)
-        + tuple(f"{p}_deriv_sq" for p in HMP_PARAM_LABELS)
-    )
-    return DesignMatrix(values, labels)
+    return _owned(DesignMatrix, values, _HMP24_LABELS, "design matrix")
 
 
 def build_blocks(bundle: SubjectBundle) -> dict[str, DesignMatrix]:

@@ -20,6 +20,12 @@ each wheel-bundled OpenBLAS's idle timeout to its least
 (`_sleep_when_idle`), so its helper threads block after a product instead
 of spinning for about 0.1 s; that changes no thread count and no split
 into jobs, so no bit.
+
+Arrays the library builds itself (residuals, the 24-regressor motion block,
+a concatenated design, a phantom's timeseries) are wrapped by `_owned`, not
+by the public constructors: it keeps their finiteness check, so an overflow
+under a caller's `np.errstate` still raises DataIntegrityError, and freezes
+them read-only, but it neither copies them nor validates labels again.
 """
 
 from __future__ import annotations
@@ -164,12 +170,28 @@ def _validated_labels(labels, n: int, what: str) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
+def _owned(cls, values: np.ndarray, labels, what: str):
+    """A `cls` (`SignalMatrix` or `DesignMatrix`) holding `values` itself, read-only.
+
+    For a 2-d float array the library has just built and no one else holds,
+    and labels already validated for it (or None for a `SignalMatrix`). Only
+    finiteness is checked, as the public constructor checks it.
+    """
+    if not np.all(np.isfinite(values)):
+        raise DataIntegrityError(f"{what} contains NaN or infinite entries")
+    values.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "values", values)
+    object.__setattr__(obj, "column_labels", labels)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """One block of nuisance regressors: n_timepoints rows by k labeled columns.
 
     Values are validated (finite, at least two rows) and frozen read-only at
-    construction; k may be zero for an empty block.
+    construction; k may be zero for an empty block. Equality is identity.
     """
 
     values: np.ndarray
@@ -190,12 +212,12 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalMatrix:
     """n_timepoints rows by m columns of signals, one column per voxel or ROI.
 
     `column_labels` is optional; when present it names the ROIs and is carried
-    through residualization unchanged.
+    through residualization unchanged. Equality is identity.
     """
 
     values: np.ndarray
@@ -298,13 +320,14 @@ def ols_residualize(Y: SignalMatrix, X: DesignMatrix) -> SignalMatrix:
     """
     _check_rows(Y, X)
     e = residualize_columns(demean_columns(Y.values), demean_columns(X.values))
-    return SignalMatrix(e, Y.column_labels)
+    return _owned(SignalMatrix, e, Y.column_labels, "signal matrix")
 
 
 def concat_designs(blocks: Sequence[DesignMatrix]) -> DesignMatrix:
     """Column-concatenate blocks into one design, their labels in the same order.
 
-    An empty block list carries no row count and is refused.
+    One block is returned as it is. An empty block list carries no row count
+    and is refused.
     """
     blocks = list(blocks)
     if not blocks:
@@ -315,8 +338,11 @@ def concat_designs(blocks: Sequence[DesignMatrix]) -> DesignMatrix:
             raise DimensionError(
                 f"blocks disagree on row count: {n} vs {b.n_timepoints}"
             )
+    if len(blocks) == 1:
+        return blocks[0]
     values = np.hstack([b.values for b in blocks])
-    return DesignMatrix(values, tuple(lab for b in blocks for lab in b.column_labels))
+    labels = tuple(lab for b in blocks for lab in b.column_labels)
+    return _owned(DesignMatrix, values, labels, "design matrix")
 
 
 def sequential_residualize(
@@ -339,7 +365,7 @@ def sequential_residualize(
         e -= e.mean(axis=0, keepdims=True)
         e -= e.mean(axis=0, keepdims=True)
         e = residualize_columns(e, demean_columns(b.values))
-    return SignalMatrix(e, Y.column_labels)
+    return _owned(SignalMatrix, e, Y.column_labels, "signal matrix")
 
 
 def max_abs_correlation(E: SignalMatrix, X: DesignMatrix) -> float:

@@ -76,11 +76,14 @@ def oracle_spearman(x, y):
 
 
 def oracle_fd(motion_values):
-    motion_values = np.asarray(motion_values, dtype=float)
+    rows = np.asarray(motion_values, dtype=float).tolist()  # Python floats: overflow gives inf
     fd = [0.0]
-    for t in range(1, motion_values.shape[0]):
-        d = [abs(motion_values[t, k] - motion_values[t - 1, k]) for k in range(6)]
-        fd.append(math.fsum(d[:3]) + 50.0 * math.fsum(d[3:]))
+    for t in range(1, len(rows)):
+        d = [abs(rows[t][k] - rows[t - 1][k]) for k in range(6)]
+        try:
+            fd.append(math.fsum(d[:3]) + 50.0 * math.fsum(d[3:]))
+        except OverflowError:  # finite terms whose exact sum is beyond float64
+            fd.append(math.inf)
     return np.array(fd)
 
 

@@ -53,6 +53,33 @@ def motion_from_rows(rows):
     return HeadMotion(np.array(rows, dtype=float))
 
 
+def scaled(base: float, exponents) -> st.SearchStrategy[float]:
+    """sign * m * base**e, with a mantissa m in [1, 2) of 53 random bits, so that sums round."""
+    mantissa = st.integers(2**52, 2**53 - 1).map(lambda k: k / 2**52)
+    return st.builds(
+        lambda m, e, sign: sign * m * base**e, mantissa, exponents, st.sampled_from([-1.0, 1.0])
+    )
+
+
+@st.composite
+def motion_values(draw):
+    """Motion traces of magnitudes 1e-300 to 1e300: drawn from a few values, so with
+    repeats, zeros and values near the float64 limit whose frames overflow, or else
+    from values 2**-80 to 2**80, where a frame's two rounding errors may not add exactly."""
+    wide = scaled(2.0, st.integers(-80, 80))
+    value = st.one_of(
+        st.just(0.0),
+        scaled(10.0, st.integers(-300, 300)),
+        wide,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e308, -1e308, 6e307, -6e307]),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    elements = draw(st.sampled_from([st.sampled_from(pool), wide]))
+    shape = st.tuples(st.integers(2, 12), st.just(6))
+    return draw(arrays(float, shape, elements=elements))
+
+
 class TestFramewiseDisplacement:
     def test_constant_trace_all_zero(self):
         fd = framewise_displacement(motion_from_rows([[1, 2, 3, 0.1, 0.2, 0.3]] * 5))
@@ -70,6 +97,20 @@ class TestFramewiseDisplacement:
         values = rng.standard_normal((30, 6))
         fd = framewise_displacement(HeadMotion(values))
         assert np.array_equal(fd, oracle_fd(values))
+
+    @settings(deadline=None, max_examples=200)
+    @given(motion_values())
+    @example(np.array([[0.0] * 6, [1e308] * 6]))
+    @example(np.array([[-1e308] * 6, [1e308] * 6]))
+    @example(np.array([[0.0] * 6, [1e-300] * 6, [0.0] * 6]))
+    @example(np.array([[0.0] * 6, [1.0, 2.0**-60, 2.0**-60, 1.0, 2.0**-60, 3.0]]))
+    # A frame whose two rounding errors do not add exactly.
+    @example(np.array(
+        [[0.0] * 6, [7.667137676003378e-20, 1.170498334961163e19, 1.446481227362601e17] * 2]
+    ))
+    def test_matches_the_per_frame_fsum_loop_bit_for_bit(self, values):
+        fd = framewise_displacement(HeadMotion(values))
+        assert fd.tobytes() == oracle_fd(values).tobytes()
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -235,6 +276,11 @@ class TestFcMatrix:
         ts = SignalMatrix(rng.standard_normal((8, 333)))
         fc = fc_matrix(ts)
         assert fc.upper_triangle().size == 55278
+
+    def test_unlabeled_results_share_one_label_tuple(self):
+        ts = SignalMatrix(np.random.default_rng(8).standard_normal((8, 5)))
+        assert fc_matrix(ts).roi_labels is fc_matrix(ts).roi_labels
+        assert fc_matrix(ts).roi_labels == ("roi_000", "roi_001", "roi_002", "roi_003", "roi_004")
 
     def test_constant_column_named(self):
         rng = np.random.default_rng(9)

@@ -11,16 +11,18 @@ from qcfc import (
     DegenerateInputError,
     DesignMatrix,
     DimensionError,
+    PhantomConfig,
     SignalMatrix,
     concat_designs,
     expand_hmp24,
+    generate_cohort,
     max_abs_correlation,
     ols_residualize,
     sequential_residualize,
 )
 from qcfc.regression import demean_columns
 
-from .conftest import make_correlated_bundle, orthogonal_blocks, standardize
+from .conftest import TINY_CFG, make_correlated_bundle, orthogonal_blocks, standardize
 from .oracles import oracle_residualize
 
 
@@ -172,7 +174,9 @@ class TestConcatDesigns:
 
     def test_single_block_values_identical(self):
         values = np.random.default_rng(9).standard_normal((8, 3))
-        merged = concat_designs([design(values)])
+        block = design(values)
+        merged = concat_designs([block])
+        assert merged is block
         assert np.array_equal(merged.values, values)
 
     def test_empty_list_needs_row_count(self):
@@ -188,6 +192,44 @@ class TestConcatDesigns:
         b = design(np.ones((4, 1)) * 3.0)
         merged = concat_designs([a, b])
         assert np.array_equal(merged.values, np.hstack([a.values, b.values]))
+
+
+class TestOwnedResults:
+    """What the library builds is kept without a copy, yet checked for finiteness and frozen."""
+
+    @pytest.mark.parametrize(
+        "residualize",
+        [ols_residualize, lambda y, x: sequential_residualize(y, [x, x])],
+        ids=["ols", "sequential"],
+    )
+    def test_overflow_is_refused_under_a_callers_errstate(self, residualize):
+        y = SignalMatrix(np.array([[1.7e308], [-1.7e308]] * 3))
+        x = design([[1.0], [2.0], [0.0], [5.0], [1.0], [3.0]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(DataIntegrityError, match="^signal matrix contains NaN"):
+                residualize(y, x)
+
+    def test_library_results_are_read_only(self):
+        bundle = make_correlated_bundle(5, n=40)
+        blocks = [expand_hmp24(bundle.motion), bundle.aroma, bundle.physio]
+        results = [
+            blocks[0],
+            concat_designs(blocks),
+            ols_residualize(bundle.ts, blocks[1]),
+            sequential_residualize(bundle.ts, blocks),
+            generate_cohort(PhantomConfig.from_dict(TINY_CFG)).bundles[0].ts,
+        ]
+        for result in results:
+            assert not result.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                result.values[0, 0] = 0.0
+
+    def test_public_constructors_still_copy(self):
+        values = np.ones((4, 2))
+        for record in (SignalMatrix(values), design(values)):
+            assert record.values is not values
+            assert not np.shares_memory(record.values, values)
+        assert values.flags.writeable
 
 
 class TestSequentialResidualize:

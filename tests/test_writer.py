@@ -332,6 +332,18 @@ def test_at_most_two_tasks_per_writer_wait():
     assert child_pids() == []
 
 
+@pytest.mark.skipif(not hasattr(os, "getpriority"), reason="no os.getpriority")
+def test_writers_run_at_a_lower_priority_than_the_main_process():
+    """A writer lowers its own priority first, so the numerics of the main process preempt it."""
+    parent = os.getpriority(os.PRIO_PROCESS, 0)
+    if parent >= 19:
+        pytest.skip(f"this process already runs at the lowest priority, niceness {parent}")
+    with cli._Writer(1) as writer:
+        writer.submit(time.sleep, 0.0)
+        writer.wait()  # the writer has run its code
+        assert os.getpriority(os.PRIO_PROCESS, writer._procs[0].pid) > parent
+
+
 def test_a_write_failure_comes_before_a_later_error_of_the_caller():
     with pytest.raises(OSError, match="^write$"):
         with cli._Writer(1) as writer:
