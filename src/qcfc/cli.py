@@ -284,12 +284,13 @@ def histogram_points(edge_qcfc: np.ndarray, bins: int) -> tuple[tuple[float, int
 
 # A writer process takes about 0.25 s of CPU to start (a fresh interpreter
 # importing NumPy and qcfc: 0.19-0.28 s on 2 CPUs, Python 3.11, NumPy 2.4) and
-# formats about a million floats a second.
-# Measured on 2 CPUs: two writers break even at about 0.6 million timeseries
-# values and save a fifth of `phantom`'s time at 1.2 million, while one
-# writer makes `phantom` slower (the main process only waits for it) and on
-# one CPU any writer shares the main process's core. Hence one writer per
-# half million values, and none unless there would be two. The cap bounds
+# formats 6-7 million floats a second (`storage`'s matrix kernel).
+# Measured on 2 CPUs, a standalone `phantom` (whole process, medians of two
+# sets of 6 runs) takes 1-5% less time with two writers at 0.6 million
+# timeseries values, 16% less at 1.2 million and 14-27% less at 2.4 million,
+# while one writer makes `phantom` slower (the main process only waits for
+# it) and on one CPU any writer shares the main process's core. Hence one
+# writer per half million values, and none unless there would be two. The cap bounds
 # the memory held by writers that would mostly wait: in `compare`, the main
 # process uses about 0.4 s of CPU per second of a writer's (0.36-0.38 at
 # reference scale on 2 CPUs), so it keeps at most two or three busy.

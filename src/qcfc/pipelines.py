@@ -159,11 +159,13 @@ def expand_hmp24(motion: HeadMotion) -> DesignMatrix:
     with np.errstate(over="ignore"):
         deriv[1:] = np.diff(params, axis=0)
         values = np.hstack([params, deriv, params**2, deriv**2])
-    if not np.all(np.isfinite(values)):
+    try:
+        return _owned(DesignMatrix, values, _HMP24_LABELS, "design matrix")
+    except DataIntegrityError:
+        # `_owned`'s finiteness check: motion is finite, so only an overflow fails it.
         raise DataIntegrityError(
             "head motion is too large: its derivatives or squares overflow float64"
-        )
-    return _owned(DesignMatrix, values, _HMP24_LABELS, "design matrix")
+        ) from None
 
 
 def build_blocks(bundle: SubjectBundle) -> dict[str, DesignMatrix]:

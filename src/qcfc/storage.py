@@ -5,16 +5,25 @@ motion parameters; rows = timepoints). This module alone turns floats into
 CSV text and back: every float in every CSV (matrices, motion,
 parcellation, histogram and `comparison.csv`) is written in one `%.17g`
 format, 17 significant digits, so a write/read round trip is exact, and
-every float cell is parsed by one table reader. A matrix is formatted one
-row at a time through a single `%.17g,...,%.17g` row format; only the
-header row goes through `csv` quoting, since labels may contain commas,
-quotes, line feeds or carriage returns. Writes go to a uniquely
-named temporary file in the same directory (`temporary_name`: at most 255
-bytes, whatever the target's name), are synced to disk and renamed
-into place, so a failed run never leaves a partial file and two runs never
-share a temporary file; a failed write removes its temporary file and its
-OSError names the file asked for. A write creates its file's missing parent
-directories, so every output directory is made by its first file.
+every float cell is parsed by one table reader. A matrix's body has the
+bytes of the row format `%.17g,...,%.17g` applied to each row, its
+reference; a NumPy kernel writes them, a block of whole rows at a time. It
+turns each cell that `%.17g` writes in plain decimal notation
+(1e-4 <= |x| < 1e16) into its 17 significant digits with exact integer
+arithmetic, writes zeros as `0` and `-0`, and formats any other cell with
+`%.17g` itself; a block where those other cells are more than an eighth
+goes through the row format. Only the header row goes through `csv`
+quoting, since labels may contain commas, quotes, line feeds or carriage
+returns. Writes go to a uniquely named temporary file in the same directory
+(`temporary_name`: at most 255 bytes, whatever the target's name), whose
+contents are synced to disk before it is renamed into place, so a failed
+run never leaves a partial file and two runs never share a temporary file;
+a failed write removes its temporary file and its OSError names the file
+asked for. The rename itself is not made durable: no directory is synced
+after it, here or in the CLI's renames of whole directories, so after a
+power loss a synced file may be missing under its name. A write creates
+its file's missing parent directories, so every output directory is made
+by its first file.
 JSON uses sorted keys and a fixed indent; nothing embeds timestamps, so
 reruns are byte-identical on the same CPU with the same BLAS thread count.
 Cohort and corrected files do not depend on that count (generation and the
@@ -75,6 +84,32 @@ PARCELLATION_HEADER = ("roi", "x_mm", "y_mm", "z_mm")
 _FLOAT_FORMAT = "%.17g"
 # The longest file name, in bytes, that most filesystems allow.
 _NAME_MAX = 255
+
+# The matrix kernel (`_matrix_text`) formats at most this many cells at a
+# time, whole rows, so its working arrays stay under a few MB.
+_BLOCK_CELLS = 8192
+# Bytes per cell: the longest `%.17g` text (24, as in -1.7976931348623157e+308)
+# and its separator.
+_RECORD = 25
+# Row e: which bytes of a record to keep when its text ends at index e.
+_UP_TO = np.arange(_RECORD) <= np.arange(_RECORD)[:, None]
+# The finite |x| that `%.17g` writes in plain decimal notation, 1e-4 <= |x| < 1e16,
+# as bit patterns with the sign cleared: these order as the values do.
+_PLAIN_LOW, _PLAIN_HIGH = np.array([1e-4, 1e16]).view(np.uint64)
+_ABS_BITS = np.uint64(2**63 - 1)
+# 10^k, exact for k <= 22, and Dekker's split of it into two halves of at most
+# 26 bits, whose products with the halves of another split are exact.
+_SPLITTER = 2.0**27 + 1
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LOW = _POW10 - _POW10_HIGH
+# For n < 10^4: its 4 digits as ASCII bytes in one little-endian word, and its
+# count of trailing zero digits (4 for 0).
+_N = np.arange(10_000)
+_DIGITS4 = sum((48 + _N // 10 ** (3 - i) % 10) << (8 * i) for i in range(4)).astype("<u4")
+_TRAILING_ZEROS = sum((_N % 10**i == 0).astype(np.int8) for i in range(1, 5))
+del _N
+_LEADING_ZEROS = np.frombuffer(b"0.000", np.uint8)
 
 
 def temporary_name(path: Path, suffix: str = ".tmp") -> Path:
@@ -200,11 +235,142 @@ def write_matrix_csv(path: Path, values: np.ndarray, labels) -> None:
         raise FileFormatError(
             f"matrix shape {values.shape} does not match {len(labels)} labels"
         )
-    # The text `csv_text` gives each cell; no float cell needs `csv`
-    # quoting, only labels can.
-    row_format = ",".join([_FLOAT_FORMAT] * len(labels)) + "\n"
-    body = "".join([row_format % tuple(row) for row in values.tolist()])
-    atomic_write_text(path, csv_text([labels]) + body)
+    # No float cell needs `csv` quoting, only labels can.
+    atomic_write_text(path, "".join([csv_text([labels]), *_matrix_text(values)]))
+
+
+def _matrix_text(values: np.ndarray) -> list[str]:
+    """The rows of `values` as text, in blocks of whole rows.
+
+    The bytes are those of the row format `%.17g,...,%.17g\\n`, the text
+    `csv_text` gives each cell. A cell `%.17g` writes in plain decimal notation
+    goes through `_plain_records`, a zero is written directly, and any other
+    cell through `_FLOAT_FORMAT`; a block where those are more than an eighth
+    of the cells goes through the row format.
+    """
+    n, width = values.shape
+    if width == 0:
+        return ["\n" * n]
+    row_format = ",".join([_FLOAT_FORMAT] * width) + "\n"
+    rows = max(1, _BLOCK_CELLS // width)
+    separators = np.full(rows * width, ord(","), np.uint8)
+    separators[width - 1 :: width] = ord("\n")
+    starts = np.arange(rows * width) * _RECORD
+    values = np.ascontiguousarray(values)
+    blocks = []
+    for first in range(0, n, rows):
+        block = values[first : first + rows]
+        x = block.ravel()
+        bits = x.view(np.uint64) & _ABS_BITS
+        plain = (bits >= _PLAIN_LOW) & (bits < _PLAIN_HIGH)
+        zero = bits == 0
+        other = np.flatnonzero(~(plain | zero))
+        if 8 * other.size > x.size:
+            blocks.append("".join([row_format % tuple(row) for row in block.tolist()]))
+            continue
+        neg = np.signbit(x)
+        records = np.empty((x.size, _RECORD), np.uint8)
+        end = np.empty(x.size, np.intp)
+        cells = np.flatnonzero(plain)
+        order, texts, ends = _plain_records(bits[cells].view(np.float64), neg[cells])
+        cells = cells[order]
+        records[cells], end[cells] = texts, ends
+        cells = np.flatnonzero(zero)
+        records[cells, 0] = np.where(neg[cells], ord("-"), ord("0"))
+        records[cells, 1] = ord("0")
+        end[cells] = 1 + neg[cells]
+        for i, v in zip(other.tolist(), x[other].tolist()):
+            text = (_FLOAT_FORMAT % v).encode()
+            records[i, : len(text)] = np.frombuffer(text, np.uint8)
+            end[i] = len(text)
+        records.ravel()[starts[: x.size] + end] = separators[: x.size]
+        blocks.append(str(records[_UP_TO.take(end, axis=0)], "ascii"))
+    return blocks
+
+
+def _plain_records(a: np.ndarray, neg: np.ndarray):
+    """`%.17g` of the values of magnitude `a`, 1e-4 <= a < 1e16, negative where `neg`.
+
+    Returns an order of the values, and in that order their texts as
+    `_RECORD`-byte rows and the index where each text ends.
+    """
+    D, d = _significands(a)
+    # Values of one exponent and sign share one layout: sort them together.
+    key = (2 * (d + 4) + neg).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    digits, zeros = _digits(D[order])
+    d, neg = d[order], neg[order]
+    # `%g` drops trailing zeros, and a point they leave bare.
+    end = neg + np.where(d < 0, 18 - d - zeros, np.where(zeros < 16 - d, 18 - zeros, d + 1))
+    records = np.empty((a.size, _RECORD), np.uint8)
+    start = 0
+    for k, stop in enumerate(np.cumsum(np.bincount(key)).tolist()):
+        exp, sign = k // 2 - 4, k % 2
+        rows, digs = records[start:stop], digits[start:stop]
+        start = stop
+        if not rows.size:
+            continue
+        if sign:
+            rows[:, 0] = ord("-")
+        if exp >= 0:
+            rows[:, sign : sign + exp + 1] = digs[:, : exp + 1]
+            rows[:, sign + exp + 1] = ord(".")
+            rows[:, sign + exp + 2 : sign + 18] = digs[:, exp + 1 :]
+        else:
+            rows[:, sign : sign + 1 - exp] = _LEADING_ZEROS[: 1 - exp]
+            rows[:, sign + 1 - exp : sign + 18 - exp] = digs
+    return order, records, end
+
+
+def _significands(a: np.ndarray):
+    """The 17-digit significand D = round(a * 10^(16 - d)), ties to even, and the
+    decimal exponent d that puts D in [1e16, 1e17), for each 1e-4 <= a < 1e16."""
+    # The product is p + e exactly (Dekker's two-product); p >= 2^53 is an
+    # even integer and |e| <= 8.
+    d = np.floor(np.log10(a)).astype(np.intp)
+    high = _SPLITTER * a - (_SPLITTER * a - a)
+    low = a - high
+    while True:
+        k = 16 - d
+        p = a * _POW10[k]
+        e = low * _POW10_LOW[k] - (
+            ((p - high * _POW10_HIGH[k]) - low * _POW10_HIGH[k]) - high * _POW10_LOW[k]
+        )
+        # log10 may round across a power of ten: move d one step where it did.
+        shift = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
+        shift -= (p < 1e16) | ((p == 1e16) & (e < 0))
+        if not shift.any():
+            break
+        d += shift
+    floor = np.floor(e)
+    rest = e - floor
+    floor = floor.astype(np.int64)
+    # D < 10^17: the largest double below each power of ten in the range is
+    # more than 8e-17 below it, relative, so no rounding carries into an 18th digit.
+    D = p.astype(np.int64) + floor + ((rest > 0.5) | ((rest == 0.5) & (floor & 1 == 1)))
+    return D, d
+
+
+def _digits(D: np.ndarray):
+    """The 17 digits of each D in [1e16, 1e17) as ASCII bytes, and how many of them
+    are trailing zeros."""
+    top = D // 10**8
+    bottom = D - top * 10**8
+    lead = top // 10**8
+    top -= lead * 10**8
+    # A leading digit and four groups of 4 digits, each group a word of `_DIGITS4`.
+    groups = []
+    for part in (top, bottom):
+        group = part // 10**4
+        groups += [group, part - group * 10**4]
+    words = np.empty((D.size, 5), "<u4")
+    words[:, 0] = (lead + ord("0")) << 24
+    for i, group in enumerate(groups):
+        words[:, i + 1] = _DIGITS4[group]
+    zeros = _TRAILING_ZEROS[groups[0]]
+    for group in groups[1:]:
+        zeros = _TRAILING_ZEROS[group] + (group == 0) * zeros
+    return words.view(np.uint8)[:, 3:], zeros
 
 
 def read_matrix_csv(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:

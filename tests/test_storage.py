@@ -1,6 +1,9 @@
 import errno
+import math
 import os
+import shutil
 import stat
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from qcfc.storage import (
     write_parcellation_csv,
 )
 
+from . import reformat_check
 from .oracles import oracle_matrix_csv
 
 EDGE_FLOATS = (
@@ -59,6 +63,58 @@ READABLE_FLOAT64S = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
     st.sampled_from(READABLE_FLOATS),
 )
+
+# The magnitudes `%.17g` writes in plain decimal notation, 1e-4 <= |x| < 1e16,
+# and a few just outside, drawn as bit patterns so every exponent and last
+# digit is as likely; either sign.
+PLAIN_BITS = np.array([1e-4, 1e16]).view(np.uint64).tolist()
+PLAIN_FLOAT64S = st.builds(
+    lambda bits, sign: sign * float(np.array(bits, dtype=np.uint64).view(np.float64)),
+    st.integers(PLAIN_BITS[0] - 4, PLAIN_BITS[1] + 4),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+def ties(exponent: int, count: int = 4) -> list:
+    """Values of [10^exponent, 10^(exponent + 1)) that lie halfway between two
+    17-digit decimals: odd multiples of 2^(exponent - 17), whose decimal
+    expansions have 18 significant digits, the last a 5."""
+    first = math.ceil(10.0**exponent * 2.0 ** (17 - exponent)) | 1
+    return [(first + 2 * i) / 2.0 ** (17 - exponent) for i in range(count)]
+
+
+# Where the matrix writer's exact decimal conversion is most likely to slip:
+# ties, each power of ten and its neighbours, both ends of the plain range,
+# zeros, subnormals and the smallest normal.
+KERNEL_EDGE_FLOATS = sorted(
+    {
+        1 + 2**-17,
+        *(t for exponent in range(-4, 16) for t in ties(exponent)),
+        *(
+            np.nextafter(10.0**k, toward)
+            for k in range(-5, 18)
+            for toward in (0.0, 10.0**k, np.inf)
+        ),
+        0.0,
+        5e-324,
+        2.2250738585072009e-308,
+        2.2250738585072014e-308,
+    }
+)
+KERNEL_EDGE_FLOATS += [-x for x in KERNEL_EDGE_FLOATS]
+
+
+@st.composite
+def plain_matrices(draw):
+    """Mostly values of the plain range, with zeros and any other float in up to a
+    quarter of the cells: so on either side of the eighth beyond which a block
+    goes through the row format."""
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
+    values = draw(arrays(np.float64, shape, elements=PLAIN_FLOAT64S))
+    flat = values.ravel()
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=flat.size // 4)):
+        flat[i] = draw(st.one_of(st.sampled_from([0.0, -0.0]), FLOAT64S))
+    return values
 
 
 @st.composite
@@ -135,6 +191,64 @@ class TestMatrixBytes:
         write_matrix_csv(path, values, labels)
         assert path.read_bytes() == oracle_matrix_csv(values, labels).encode("utf-8")
 
+    @settings(
+        deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(plain_matrices())
+    def test_plain_range_bytes_match_cell_by_cell_writer(self, tmp_path, values):
+        path = tmp_path / "m.csv"
+        labels = [str(j) for j in range(values.shape[1])]
+        write_matrix_csv(path, values, labels)
+        assert path.read_bytes() == oracle_matrix_csv(values, labels).encode("utf-8")
+
+    def test_edge_values_among_plain_ones(self, tmp_path):
+        """Each edge value in a row of eight plain ones, so a ninth of each
+        block is outside the plain range at most; also under `np.errstate(all="raise")`,
+        the state `run_guarded` sets."""
+        edges = np.array(KERNEL_EDGE_FLOATS)
+        values = np.random.default_rng(0).standard_normal((edges.size, 9))
+        values[:, 0] = edges
+        path = tmp_path / "m.csv"
+        with np.errstate(all="raise"):
+            write_matrix_csv(path, values, list("abcdefghi"))
+        assert path.read_bytes() == oracle_matrix_csv(values, list("abcdefghi")).encode()
+
+    @pytest.mark.parametrize("others", [0, 1, 1024, 1025, 8192])
+    def test_a_block_with_cells_outside_the_plain_range(self, tmp_path, others):
+        """One block of 8,192 cells (128 x 64) mixing plain values, zeros and
+        `others` tiny, huge, subnormal or non-finite cells; past 1,024 (an eighth)
+        the block goes through the row format."""
+        rng = np.random.default_rng(others)
+        values = rng.standard_normal(128 * 64) * 10.0 ** rng.integers(-4, 16, 128 * 64)
+        values[rng.random(values.size) < 0.2] = 0.0
+        outside = np.array([1e-5, -3e-300, 2e16, -1e308, 5e-324, np.nan, np.inf, -np.inf])
+        values[rng.permutation(values.size)[:others]] = rng.choice(outside, others)
+        values = values.reshape(128, 64)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values, [f"c{j}" for j in range(64)])
+        assert path.read_bytes() == oracle_matrix_csv(values, [f"c{j}" for j in range(64)]).encode()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (1, 9000), (100, 100), (1200, 7)])
+    def test_shapes_across_blocks(self, tmp_path, shape):
+        """Zero rows or columns, a row longer than a block (8,192 cells), and
+        matrices of more than one block."""
+        values = np.random.default_rng(1).standard_normal(shape)
+        labels = [f"c{j}" for j in range(shape[1])]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values, labels)
+        assert path.read_bytes() == oracle_matrix_csv(values, labels).encode()
+
+    def test_memory_is_at_most_three_times_the_text(self, tmp_path):
+        values = np.random.default_rng(2).standard_normal((1200, 333))
+        labels = [f"roi_{j}" for j in range(333)]
+        tracemalloc.start()
+        try:
+            write_matrix_csv(tmp_path / "m.csv", values, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (tmp_path / "m.csv").stat().st_size
+
     def test_literal_bytes(self, tmp_path):
         values = np.array([[0.1, -0.0, 5e-324], [1.0 / 3.0, -1.7976931348623157e308, 2.5e-7]])
         path = tmp_path / "m.csv"
@@ -144,6 +258,25 @@ class TestMatrixBytes:
             b"0.10000000000000001,-0,4.9406564584124654e-324\n"
             b"0.33333333333333331,-1.7976931348623157e+308,2.4999999999999999e-07\n"
         )
+
+
+class TestReformatCheck:
+    def test_a_run_matches_and_a_rewritten_cell_is_named(self, refusal_base, tmp_path, capsys):
+        assert reformat_check.main([str(refusal_base)]) == 0
+        # 4 files of each of 5 subjects, `truth_fc.csv` and 5 corrected files.
+        assert capsys.readouterr().out == "26 matrix files match the row format's text\n"
+        work = tmp_path / "base"
+        shutil.copytree(refusal_base, work)
+        ts = work / "cohort" / "sub-001" / "ts.csv"
+        header, first, *rest = ts.read_text().split("\n")
+        cell, *others = first.split(",")
+        ts.write_text("\n".join([header, ",".join([f"{float(cell):.18g}", *others]), *rest]))
+        assert reformat_check.main([str(work)]) == 1
+        assert capsys.readouterr().out == f"error: {ts} differs from the row format's text\n"
+
+    def test_a_directory_without_matrix_files_fails(self, tmp_path, capsys):
+        assert reformat_check.main([str(tmp_path)]) == 1
+        assert "no matrix file" in capsys.readouterr().out
 
 
 class TestMatrixErrors:
